@@ -163,28 +163,6 @@ pub fn solve_resumable(
     })
 }
 
-/// Fractional-only variant of [`solve_placement_checkpointed`] for
-/// pipelines that round in a separate (separately checkpointed) stage.
-/// `warm` optionally seeds the blocks from a previous placement, as in
-/// [`resolve_from`].
-pub fn solve_fractional_checkpointed(
-    inst: &MipInstance,
-    cfg: &EpfConfig,
-    warm: Option<&Placement>,
-    spec: CheckpointSpec<'_>,
-) -> Result<(FractionalSolution, EpfStats), SolveError> {
-    validate(inst, cfg)?;
-    if let Some(prev) = warm {
-        if prev.n_videos() != inst.n_videos() {
-            return Err(SolveError::MismatchedWarmStart {
-                prev_videos: prev.n_videos(),
-                instance_videos: inst.n_videos(),
-            });
-        }
-    }
-    Ok(solve_fractional_driven(inst, cfg, warm, None, Some(spec)))
-}
-
 /// How a cycle's fractional solve actually started — reported by
 /// [`solve_cycle_fractional`] so a supervising service loop can log
 /// its recovery action instead of guessing from side effects.
@@ -269,20 +247,6 @@ pub fn solve_cycle_fractional(
         None => ResumeKind::Cold,
     };
     Ok((frac, epf, kind))
-}
-
-/// Fractional-only variant of [`solve_resumable`]. The checkpoint
-/// already carries the warm-started blocks, so no `warm` is taken.
-pub fn solve_fractional_resumable(
-    inst: &MipInstance,
-    cfg: &EpfConfig,
-    ckpt: &SolverCheckpoint,
-    spec: Option<CheckpointSpec<'_>>,
-) -> Result<(FractionalSolution, EpfStats), SolveError> {
-    validate(inst, cfg)?;
-    ckpt.validate_for(inst, cfg)
-        .map_err(|what| SolveError::MismatchedCheckpoint { what })?;
-    Ok(solve_fractional_driven(inst, cfg, None, Some(ckpt), spec))
 }
 
 #[cfg(test)]

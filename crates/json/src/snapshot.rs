@@ -29,6 +29,7 @@
 use crate::{JsonError, Value};
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 
 /// File magic, also the container format version ("…P1").
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"VODSNAP1";
@@ -229,14 +230,26 @@ fn tmp_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
+/// Serialises [`write_atomic`] within the process. Every writer of a
+/// destination shares its one `<file>.tmp` sibling, so two threads
+/// writing the same path at once could rename each other's half-written
+/// temp file, or find it already renamed away. Cross-process writers
+/// are not covered.
+static WRITE_LOCK: Mutex<()> = Mutex::new(());
+
 /// Write raw bytes atomically: temp file in the same directory, then
 /// rename over the destination. On success a reader at any instant sees
 /// either the old complete file or the new complete file, never a
 /// partial write. On *any* failure — real or injected via
 /// [`crate::faults`] — the temp file is removed best-effort, so a
 /// failed write leaves the destination untouched and no stray `*.tmp`
-/// behind.
+/// behind. Concurrent writers in one process take turns on one lock;
+/// the last one to finish wins.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
+    // A writer that panicked while holding the lock left no shared
+    // state behind, only (at worst) a temp file the next write
+    // overwrites, so a poisoned lock is safe to take over.
+    let _turn = WRITE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let tmp = tmp_path(path);
     let result = write_atomic_inner(path, &tmp, bytes);
     if result.is_err() {

@@ -6,16 +6,23 @@
 #![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 use vod_json::snapshot::{self, SnapshotError};
 use vod_json::Value;
 
 /// Encode a snapshot via the public file API (temp file round trip).
+/// Every call writes its own file, so proptests running in parallel
+/// never read back each other's payloads.
 fn valid_snapshot(kind: &str, version: u32, payload: &[u8]) -> Vec<u8> {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!("vod-snap-props-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{kind}-{version}.snap"));
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let path = dir.join(format!("{kind}-{version}-{call}.snap"));
     snapshot::write_snapshot_atomic(&path, kind, version, payload).unwrap();
-    std::fs::read(&path).unwrap()
+    let bytes = std::fs::read(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    bytes
 }
 
 proptest! {

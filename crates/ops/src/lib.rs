@@ -1,34 +1,30 @@
-//! `vod-ops` — the supervised re-optimization pipeline.
+//! `vod-ops` — the supervised placement service.
 //!
 //! The paper's placement is not solved once: operationally it is
 //! re-solved on a schedule as demand shifts (Section VII-H, Table VI).
-//! This crate turns that schedule into a crash-safe service loop:
+//! This crate runs that schedule as one crash-safe loop, [`Service`]:
 //!
 //! - each cycle runs **estimate → solve → round → validate →
-//!   simulate**, with the durable [`PipelineState`] written atomically
+//!   simulate**, with the durable [`ServiceState`] written atomically
 //!   (checksummed `vod-json` snapshots) after every stage transition,
 //! - the solve stage emits resumable solver checkpoints, so a process
 //!   killed mid-solve continues from the last surviving checkpoint and
 //!   produces the bitwise-identical placement,
+//! - demand streams from the live trace window, each cycle re-solves
+//!   warm under an optional per-cycle pass budget, and deploys go out
+//!   as migration-cost-aware diffs under an optional churn cap (excess
+//!   moves become typed [`DeferredMigration`]s),
 //! - every stage has a bounded retry budget with *recorded* (never
-//!   slept) deterministic backoff, and a cycle that exhausts it falls
-//!   back to the **last-good** validated placement with a typed
-//!   [`DegradeReason`] — the service always has a serviceable
-//!   placement from the first validated cycle onwards.
+//!   slept) deterministic backoff; a cycle that exhausts it, fails
+//!   validation or stalls degrades with a typed [`DegradeReason`] —
+//!   warm-resume → cold re-solve → last-good → stale-serve with denial
+//!   accounting — instead of ever aborting.
 //!
-//! The supervisor never reads a clock: interrupted and uninterrupted
-//! runs are bit-for-bit comparable, which is exactly what the
-//! `ops_pipeline` bench harness asserts.
-//!
-//! On top of the one-shot pipeline, [`Service`] is the *daemon* form:
-//! a long-running supervised loop that streams demand from the live
-//! trace window, re-solves incrementally under a per-cycle budget,
-//! deploys migration-cost-aware diffs under a churn cap (excess moves
-//! become typed [`DeferredMigration`]s), and degrades gracefully —
-//! warm-resume → cold re-solve → last-good → stale-serve with denial
-//! accounting — instead of ever aborting. The `service_drill` bench
-//! harness drives it through a seeded kill/corruption matrix and
-//! asserts the same bitwise recovery identity.
+//! A one-shot schedule is a `Service` with `churn_cap: None`,
+//! `cycle_step_budget: None` and `watchdog_budget: u64::MAX`. The
+//! service never reads a clock: interrupted and uninterrupted runs are
+//! bit-for-bit comparable, which is what the `drill` bench harness
+//! asserts over its one-shot, chaos and reconfiguration scenarios.
 
 #![cfg_attr(
     test,
@@ -40,20 +36,16 @@
 )]
 
 pub mod diff;
-pub mod pipeline;
 pub mod service;
 pub mod state;
 pub mod supervise;
 
 pub use diff::{apply_churn_cap, ChurnPlan, DeferredMigration};
-pub use pipeline::{FaultPlan, OpsConfig, OpsWorld, Pipeline, StepOutcome};
 pub use service::{
-    Service, ServiceConfig, ServicePlan, ServiceRecord, ServiceState, SERVICE_KIND, SERVICE_VERSION,
+    OpsConfig, OpsWorld, Service, ServiceConfig, ServicePlan, ServiceRecord, ServiceState,
+    StepOutcome, SERVICE_KIND, SERVICE_VERSION,
 };
-pub use state::{
-    CycleRecord, DegradeReason, OpsError, PipelineState, SimSummary, StageId, FRACTIONAL_KIND,
-    STATE_KIND, STATE_VERSION,
-};
+pub use state::{DegradeReason, OpsError, SimSummary, StageId, FRACTIONAL_KIND};
 pub use supervise::{deployment_sleep, recorded_backoff, RecoveryAction, Watchdog};
 // Re-exported so service callers can build [`ServiceConfig::cycle_deltas`]
 // without importing vod-net directly.

@@ -1,9 +1,8 @@
-//! The long-running supervised placement service.
+//! The supervised placement service — the one loop that runs the
+//! paper's re-solve schedule (§VI: demand re-estimated and the
+//! placement re-solved on an update cadence; §VII-H, Table VI).
 //!
-//! Where [`crate::Pipeline`] runs one durable pass over its schedule,
-//! `Service` is the daemon form the paper operates (§VI: demand
-//! re-estimated and the placement re-solved on an update cadence):
-//! a deterministic multi-cycle loop that
+//! `Service` is a deterministic multi-cycle loop that
 //!
 //! 1. feeds a streaming demand estimator from the live trace window
 //!    ([`vod_estimate::StreamingWindow`] — amortized O(1) per cycle),
@@ -20,13 +19,18 @@
 //!    last-good placement → stale-serve with denial accounting. A
 //!    cycle can *degrade*; the service never aborts.
 //!
-//! Determinism contract (inherited from the pipeline, pinned by the
-//! `service_drill` bench): the service never reads a clock and never
-//! sleeps; every cycle's deployed placement is a pure function of
-//! (world, config, seed, cycle). An interrupted run — killed at any
-//! stage boundary, killed mid-solve, state file torn at any byte,
-//! checkpoint swapped for a foreign one — re-converges to deployed
-//! placements byte-identical to the uninterrupted twin's.
+//! A one-shot schedule is the same loop with the service knobs opened
+//! up: `churn_cap: None`, `cycle_step_budget: None` and
+//! `watchdog_budget: u64::MAX` solve every cycle to the solver's own
+//! limits and deploy each validated target in full.
+//!
+//! Determinism contract (pinned by the `drill` bench): the service
+//! never reads a clock and never sleeps; every cycle's deployed
+//! placement is a pure function of (world, config, seed, cycle). An
+//! interrupted run — killed at any stage boundary, killed mid-solve,
+//! state file torn at any byte, checkpoint swapped for a foreign one —
+//! re-converges to deployed placements byte-identical to the
+//! uninterrupted twin's.
 
 use std::path::PathBuf;
 use vod_core::checkpoint::{
@@ -37,10 +41,10 @@ use vod_core::{
     remap_checkpoint, repair_placement, solve_cycle_fractional, CheckpointSpec, DiskConfig,
     EpfConfig, MipInstance, Placement, PlacementCost, ResumeKind, SolverCheckpoint,
 };
-use vod_estimate::{estimate_demand, StreamingWindow};
+use vod_estimate::{estimate_demand, EstimateConfig, EstimatorKind, StreamingWindow};
 use vod_json::snapshot::{
-    f64_bits_value, f64_from_bits_value, read_json_snapshot, read_snapshot, u64_bits_value,
-    u64_from_bits_value, write_json_snapshot, write_snapshot_atomic, SnapshotError,
+    f64_bits_value, f64_from_bits_value, fnv1a64, read_json_snapshot, read_snapshot,
+    u64_bits_value, u64_from_bits_value, write_json_snapshot, write_snapshot_atomic, SnapshotError,
 };
 use vod_json::Value;
 use vod_model::rng::derive_seed;
@@ -48,18 +52,99 @@ use vod_model::time::DAY;
 use vod_model::{
     Catalog, Gigabytes, SimTime, TimeWindow, VhoId, Video, VideoClass, VideoId, VideoKind,
 };
-use vod_net::{DeltaOp, WorldDelta};
+use vod_net::{DeltaOp, Network, PathSet, WorldDelta};
 use vod_sim::{mip_vho_configs, simulate, CacheKind, FaultSchedule, PolicyKind, SimConfig};
+use vod_trace::Trace;
 
 use crate::diff::{apply_churn_cap, DeferredMigration};
-use crate::pipeline::{
-    effective_cycles, epf_config_token, serviceable, OpsConfig, OpsWorld, StepOutcome,
-};
 use crate::state::{
-    reason_from_value, reason_to_value, sim_from_value, sim_to_value, DegradeReason, OpsError,
-    SimSummary, StageId, FRACTIONAL_KIND, FRACTIONAL_VERSION,
+    placement_fingerprint, reason_from_value, reason_to_value, sim_from_value, sim_to_value,
+    DegradeReason, OpsError, SimSummary, StageId, FRACTIONAL_KIND, FRACTIONAL_VERSION,
 };
 use crate::supervise::{recorded_backoff, RecoveryAction, Watchdog};
+
+/// The world the service re-optimizes against: topology (with link
+/// capacities already set), routing, library, the full request trace,
+/// and the physical disk inventory. The service clones it and evolves
+/// its copy through [`vod_net::WorldDelta`]s between cycles.
+#[derive(Debug, Clone)]
+pub struct OpsWorld {
+    pub net: Network,
+    pub paths: PathSet,
+    pub catalog: Catalog,
+    pub trace: Trace,
+    /// Physical per-VHO disks handed to the simulator.
+    pub disks: Vec<Gigabytes>,
+    /// Disk budget the MIP solves against (typically the physical disk
+    /// minus the complementary-cache share).
+    pub mip_disk: DiskConfig,
+    pub est: EstimateConfig,
+}
+
+/// Schedule, solver, retry and state-dir parameters.
+#[derive(Debug, Clone)]
+pub struct OpsConfig {
+    /// Re-optimization cycles to run (clamped to the trace horizon).
+    pub cycles: usize,
+    /// Days covered by each cycle's placement (Table VI's schedule).
+    pub period_days: u64,
+    /// First day a placement takes effect; must be ≥ 7 so a full week
+    /// of history exists for the estimator.
+    pub start_day: u64,
+    pub estimator: EstimatorKind,
+    /// Solver configuration. `epf.seed` doubles as the service master
+    /// seed; prefer `step_limit` over `wall_limit` here — a wall clock
+    /// budget breaks the bitwise resume-identity guarantee.
+    pub epf: EpfConfig,
+    /// Attempts per stage before the cycle degrades to last-good.
+    pub max_attempts: u32,
+    /// Solver checkpoint cadence in global passes (0 = no mid-solve
+    /// checkpoints; crash recovery then restarts the solve stage).
+    pub checkpoint_every: u64,
+    /// Base of the recorded exponential retry backoff.
+    pub backoff_base_ms: u64,
+    /// Relative disk overrun tolerated by the validate stage.
+    pub validate_tol: f64,
+    /// Replay each cycle's period through the simulator.
+    pub simulate: bool,
+    /// Directory holding `service.state`, `solver.ckpt` and
+    /// `fractional.snap`.
+    pub state_dir: PathBuf,
+}
+
+/// What one [`Service::step`] call did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StepOutcome {
+    /// The current stage completed and the service advanced.
+    StageDone { cycle: usize, stage: StageId },
+    /// The stage failed; the retry was scheduled with this much
+    /// recorded backoff.
+    AttemptFailed {
+        cycle: usize,
+        stage: StageId,
+        attempt: u32,
+        backoff_ms: u64,
+    },
+    /// A persisted inter-stage artifact was missing, corrupt or stale;
+    /// the service stepped back to the stage that regenerates it.
+    Retreated { cycle: usize, stage: StageId },
+    /// The cycle exhausted a stage's retries (or failed validation, or
+    /// stalled) and fell back to the last-good placement, or to
+    /// stale-serve when nothing was ever deployed.
+    CycleDegraded { cycle: usize },
+    /// A [`ServicePlan`] kill fired, at a stage boundary or mid-solve.
+    /// The durable state is that of a killed process; stepping again
+    /// (or constructing a fresh service over the same state dir)
+    /// resumes from the last surviving checkpoint.
+    SimulatedCrash { cycle: usize },
+    /// A scheduled [`vod_net::WorldDelta`] was applied: the world
+    /// mutated, the deployed placement was repaired under the churn
+    /// cap, and the delta counter advanced — one durable transition.
+    /// `index` is the delta's position in the schedule.
+    DeltaApplied { cycle: usize, index: usize },
+    /// All cycles are closed.
+    Finished,
+}
 
 /// Snapshot-container kind tag for the service state file.
 pub const SERVICE_KIND: &str = "ops-service";
@@ -74,13 +159,14 @@ pub const SERVICE_VERSION: u32 = 2;
 /// copy there while the node keeps existing on every axis.
 const DARK_DISK_GB: f64 = 1e-6;
 
-/// Cycle seed salt — distinct from the pipeline's `0x0E5F` so solver
-/// checkpoints written by one supervisor can never validate against
-/// the other's cycles.
+/// Cycle seed salt: every cycle's solver seed is
+/// `derive_seed(epf.seed, SERVICE_CYCLE_SALT ^ cycle)`, so a checkpoint
+/// written in one cycle can never validate against another's. Part of
+/// the fingerprint contract: changing it moves every drill placement.
 const SERVICE_CYCLE_SALT: u64 = 0x5EBF;
 
-/// Service parameters: the pipeline's schedule plus the service-only
-/// knobs (churn cap, per-cycle budget, watchdog, fault feed).
+/// Service parameters: the schedule plus the service knobs (churn cap,
+/// per-cycle budget, watchdog, fault feed, world deltas).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Schedule, solver, retry and state-dir parameters (the service
@@ -121,12 +207,13 @@ pub struct ServicePlan {
     pub kill_at_stage: Vec<(usize, StageId)>,
     /// `(cycle, keep_checkpoints)`: during that cycle's solve, stop
     /// persisting after `keep_checkpoints` checkpoint emissions and
-    /// report a simulated crash (same contract as
-    /// [`crate::FaultPlan::kill_mid_solve`]).
+    /// report a [`StepOutcome::SimulatedCrash`]: the durable state is
+    /// then exactly what a process killed at that instant leaves
+    /// behind. Fires at most once per cycle per `Service` value.
     pub kill_mid_solve: Vec<(usize, u64)>,
 }
 
-/// One closed service cycle: the ledger row `BENCH_service.json`
+/// One closed service cycle: the ledger row `BENCH_drill.json`
 /// aggregates.
 #[derive(Debug, Clone)]
 pub struct ServiceRecord {
@@ -1216,7 +1303,7 @@ impl Service {
     /// accounting for the window. Without one: stale-serve — every
     /// request in the window is denied and *counted*. Either way the
     /// cycle closes and the service keeps running; there is no abort
-    /// path here, unlike the pipeline's `NoFallback`.
+    /// path.
     fn degrade(&mut self, reason: DegradeReason) -> Result<StepOutcome, OpsError> {
         let cycle = self.state.cycle;
         let record = match self.state.deployed.clone() {
@@ -1370,7 +1457,7 @@ impl Service {
         self.state
             .deployed
             .as_ref()
-            .map_or(0, |(_, p)| crate::PipelineState::placement_fingerprint(p))
+            .map_or(0, |(_, p)| placement_fingerprint(p))
     }
 
     // ---- deterministic inputs --------------------------------------
@@ -1553,5 +1640,185 @@ fn apply_world_delta(cur: &mut OpsWorld, dark: &mut [bool], delta: &WorldDelta) 
             }
             DeltaOp::ScaleLink { .. } | DeltaOp::CutLink { .. } => {} // apply_links handled these
         }
+    }
+}
+
+/// Fingerprint of everything that shapes a solve trajectory, so a
+/// persisted fractional artifact from a different solver configuration
+/// is rejected instead of silently reused.
+fn epf_config_token(e: &EpfConfig) -> u64 {
+    let mut buf = Vec::with_capacity(96);
+    for bits in [
+        e.epsilon.to_bits(),
+        e.gamma.to_bits(),
+        e.rho.to_bits(),
+        e.chunk_size as u64,
+        e.max_passes as u64,
+        e.lb_every as u64,
+        e.polish_iters as u64,
+        e.seed,
+        u64::from(e.feasibility_only),
+        e.step_limit.unwrap_or(u64::MAX),
+    ] {
+        buf.extend_from_slice(&bits.to_le_bytes());
+    }
+    fnv1a64(&buf)
+}
+
+/// Structural serviceability of a rounded placement: right shape,
+/// every video has a holder, disks within tolerance. Deliberately
+/// *not* the audit layer's link checks — an over-tight link budget
+/// yields a degraded-but-serviceable placement, which the supervisor
+/// must keep, not reject.
+fn serviceable(p: &Placement, inst: &MipInstance, tol: f64) -> Result<(), String> {
+    if p.n_vhos() != inst.n_vhos() {
+        return Err(format!(
+            "placement has {} VHOs, instance has {}",
+            p.n_vhos(),
+            inst.n_vhos()
+        ));
+    }
+    let holders = p.holder_lists();
+    if holders.len() != inst.n_videos() {
+        return Err(format!(
+            "placement covers {} videos, instance has {}",
+            holders.len(),
+            inst.n_videos()
+        ));
+    }
+    if let Some(m) = holders.iter().position(Vec::is_empty) {
+        return Err(format!("video {m} has no holder"));
+    }
+    let usage = p.disk_usage(&inst.catalog);
+    for (i, (&have, used)) in inst.disks.iter().zip(usage).enumerate() {
+        if used.value() > have.value() * (1.0 + tol) {
+            return Err(format!(
+                "VHO {i} stores {:.1} GB on a {:.1} GB budget (tol {tol})",
+                used.value(),
+                have.value()
+            ));
+        }
+    }
+    Ok(())
+}
+
+fn effective_cycles(world: &OpsWorld, cfg: &OpsConfig) -> usize {
+    let horizon = world.trace.horizon().secs() / DAY;
+    let mut n = 0usize;
+    while n < cfg.cycles && cfg.start_day + n as u64 * cfg.period_days < horizon {
+        n += 1;
+    }
+    n
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sample_state() -> ServiceState {
+        let p = Placement::from_parts(
+            4,
+            vec![vec![VhoId::new(0), VhoId::new(2)], vec![VhoId::new(1)]],
+            vec![
+                vec![(VhoId::new(1), vec![(VhoId::new(0), 1.0)])],
+                Vec::new(),
+            ],
+        )
+        .unwrap();
+        let sim = SimSummary {
+            max_gbps: 0.75,
+            local_frac: 0.5,
+            total_requests: 1234,
+        };
+        ServiceState {
+            stage: StageId::Round,
+            attempts_done: 1,
+            cycle: 2,
+            cycle_attempts: 3,
+            cycle_backoff_ms: 750,
+            cycle_solver_resumes: 1,
+            cycle_recoveries: vec![RecoveryAction::WarmResume],
+            deployed: Some((1, p.clone())),
+            target: Some(p),
+            target_objective: Some(17.25),
+            target_lower_bound: Some(16.5),
+            pending_moved: 5,
+            pending_sim: Some(sim.clone()),
+            pending_denied: 7,
+            pending_denial: Some(0.125),
+            deferred: vec![DeferredMigration {
+                video: VideoId::from_index(1),
+                copies: 2,
+                since_cycle: 1,
+            }],
+            records: vec![ServiceRecord {
+                cycle: 1,
+                degraded: Some(DegradeReason::StageFailed {
+                    stage: StageId::Solve,
+                    attempts: 3,
+                    last_error: "injected failure".into(),
+                }),
+                recoveries: vec![RecoveryAction::LastGood],
+                attempts: 3,
+                backoff_ms: 1500,
+                solver_resumes: 2,
+                placement_fnv: 0xfeed_beef,
+                objective: None,
+                lower_bound: None,
+                moved: 0,
+                deferred: 1,
+                denied: 99,
+                denial_rate: Some(0.25),
+                stale: false,
+                sim: Some(sim),
+                repairs: vec![0xabc],
+                rejections: vec!["foreign: fingerprint".into()],
+            }],
+            resumes: 3,
+            cold_restarts: 1,
+            stale_serves: 0,
+            deltas_applied: 1,
+            snapshot_failures: 2,
+            cycle_repairs: vec![0xdef],
+            cycle_rejections: Vec::new(),
+            ..ServiceState::fresh(0x1234_5678_9abc_def0)
+        }
+    }
+
+    #[test]
+    fn state_round_trips() {
+        let st = sample_state();
+        let back = ServiceState::from_value(&st.to_value()).unwrap();
+        // The codec is canonical: a decoded state re-encodes to the
+        // identical document.
+        assert_eq!(
+            back.to_value().to_string_pretty(),
+            st.to_value().to_string_pretty()
+        );
+        assert_eq!(back.seed, st.seed);
+        assert_eq!(back.stage, st.stage);
+        assert_eq!(back.records[0].degraded, st.records[0].degraded);
+        let (c, p) = back.deployed.unwrap();
+        assert_eq!(c, 1);
+        assert_eq!(
+            placement_fingerprint(&p),
+            placement_fingerprint(&st.deployed.unwrap().1)
+        );
+    }
+
+    #[test]
+    fn malformed_states_are_typed_errors() {
+        assert!(ServiceState::from_value(&Value::Null).is_err());
+        assert!(ServiceState::from_value(&Value::Obj(vec![])).is_err());
+        let mut v = sample_state().to_value();
+        if let Value::Obj(fields) = &mut v {
+            for (k, val) in fields.iter_mut() {
+                if k == "stage" {
+                    *val = Value::Str("no-such-stage".into());
+                }
+            }
+        }
+        let err = ServiceState::from_value(&v).unwrap_err();
+        assert!(err.contains("stage"), "{err}");
     }
 }

@@ -1,27 +1,24 @@
-//! Durable pipeline state: everything the supervisor must remember
-//! across a crash to continue exactly where it stopped.
+//! Durable supervision vocabulary shared by the service state codec:
+//! stage ids, typed degradation reasons, per-cycle simulation
+//! summaries, the placement fingerprint, and the error type.
 //!
-//! The state is one [`PipelineState`] value, persisted after every
-//! stage transition as a checksummed `vod_json::snapshot` container
-//! ([`STATE_KIND`]). Large intermediate artifacts (the fractional
-//! solution between the solve and round stages, the in-flight solver
-//! checkpoint) live in their own snapshot files next to it — the state
-//! records only where the pipeline *is*, and the artifacts are
-//! re-validated on load, so a corrupt or missing file degrades to
-//! recomputing a stage, never to a wrong answer.
+//! The service persists one [`crate::ServiceState`] value after every
+//! stage transition as a checksummed `vod_json::snapshot` container.
+//! Large intermediate artifacts (the fractional solution between the
+//! solve and round stages, the in-flight solver checkpoint) live in
+//! their own snapshot files next to it — the state records only where
+//! the loop *is*, and the artifacts are re-validated on load, so a
+//! corrupt or missing file degrades to recomputing a stage, never to a
+//! wrong answer.
 
 use std::fmt;
-use vod_core::checkpoint::{placement_from_value, placement_to_value};
+use vod_core::checkpoint::placement_to_value;
 use vod_core::Placement;
 use vod_json::snapshot::{
     f64_bits_value, f64_from_bits_value, fnv1a64, u64_bits_value, u64_from_bits_value,
 };
 use vod_json::Value;
 
-/// Snapshot-container kind tag for the pipeline state file.
-pub const STATE_KIND: &str = "ops-pipeline";
-/// Pipeline state payload version.
-pub const STATE_VERSION: u32 = 1;
 /// Snapshot-container kind tag for the persisted fractional solution
 /// (the solve→round stage boundary).
 pub const FRACTIONAL_KIND: &str = "ops-fractional";
@@ -129,8 +126,7 @@ impl fmt::Display for DegradeReason {
     }
 }
 
-/// Serialize a degradation reason (shared by the pipeline and service
-/// state codecs).
+/// Serialize a degradation reason (service state codec).
 pub(crate) fn reason_to_value(r: &DegradeReason) -> Value {
     match r {
         DegradeReason::StageFailed {
@@ -254,31 +250,25 @@ pub(crate) fn sim_from_value(x: &Value, what: &str) -> Result<SimSummary, String
     })
 }
 
-/// Why the pipeline as a whole stopped.
+/// Why the service refused to start. Once running, cycle trouble
+/// degrades and storage trouble is served from memory: neither is an
+/// error.
 #[derive(Debug)]
 pub enum OpsError {
-    /// A cycle degraded before any validated placement existed — there
-    /// is nothing serviceable to fall back to.
-    NoFallback { cycle: usize, reason: DegradeReason },
-    /// The pipeline inputs are rejected up front (bad config, provably
-    /// infeasible instance). Retrying cannot help.
+    /// The service inputs are rejected up front (bad config, foreign
+    /// state file, invalid fault or delta schedule). Retrying cannot
+    /// help.
     Invalid { what: String },
-    /// The durable state itself cannot be persisted (state directory
-    /// unwritable). Continuing would silently forfeit crash safety.
+    /// The state directory cannot be created, so there is nowhere to
+    /// keep durable state at all.
     Io { what: String },
 }
 
 impl fmt::Display for OpsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::NoFallback { cycle, reason } => {
-                write!(
-                    f,
-                    "cycle {cycle} degraded with no last-good fallback: {reason}"
-                )
-            }
-            Self::Invalid { what } => write!(f, "invalid pipeline input: {what}"),
-            Self::Io { what } => write!(f, "pipeline state not durable: {what}"),
+            Self::Invalid { what } => write!(f, "invalid service input: {what}"),
+            Self::Io { what } => write!(f, "service state not durable: {what}"),
         }
     }
 }
@@ -293,397 +283,16 @@ pub struct SimSummary {
     pub total_requests: u64,
 }
 
-/// The per-cycle outcome ledger (the pipeline's Table VI row, plus
-/// supervision metadata: retries, recorded backoff, resume counts).
-#[derive(Debug, Clone)]
-pub struct CycleRecord {
-    pub cycle: usize,
-    /// `None` = this cycle produced and validated a fresh placement;
-    /// `Some` = it serves the previous cycle's placement instead.
-    pub degraded: Option<DegradeReason>,
-    /// Stage attempts consumed over the whole cycle (1 per stage when
-    /// nothing fails).
-    pub attempts: u32,
-    /// Total *recorded* retry backoff. Never slept: the supervisor is
-    /// deterministic and wall-clock-free; an operational deployment
-    /// would sleep these amounts.
-    pub backoff_ms: u64,
-    /// Mid-solve checkpoint resumes observed during this cycle.
-    pub solver_resumes: u32,
-    /// FNV-64 of the serviceable placement's canonical serialization —
-    /// the identity the kill/resume harness asserts on.
-    pub placement_fnv: u64,
-    /// Rounded objective (`None` for degraded cycles).
-    pub objective: Option<f64>,
-    /// Copies moved relative to the previous serviceable placement.
-    pub migrated: usize,
-    pub sim: Option<SimSummary>,
-}
-
-/// Complete durable supervisor state.
-#[derive(Debug, Clone)]
-pub struct PipelineState {
-    /// Master seed (sanity-checked against the config on resume).
-    pub seed: u64,
-    /// Current cycle (index into the update schedule).
-    pub cycle: usize,
-    /// Next stage to run within the current cycle.
-    pub stage: StageId,
-    /// Attempts already burned on the current stage.
-    pub attempts_done: u32,
-    /// Attempts consumed so far in the current cycle (all stages).
-    pub cycle_attempts: u32,
-    /// Recorded backoff accumulated in the current cycle.
-    pub cycle_backoff_ms: u64,
-    /// Solver checkpoint resumes observed in the current cycle.
-    pub cycle_solver_resumes: u32,
-    /// The last validated placement and the cycle that produced it.
-    pub last_good: Option<(usize, Placement)>,
-    /// The current cycle's rounded-but-not-yet-validated placement.
-    pub pending: Option<Placement>,
-    /// Rounded objective of `pending` (set by the round stage).
-    pub pending_objective: Option<f64>,
-    /// Copies moved vs the previous serviceable placement (set by the
-    /// validate stage).
-    pub pending_migrated: usize,
-    /// Sim summary of the current cycle (set by the simulate stage).
-    pub pending_sim: Option<SimSummary>,
-    /// Closed-cycle ledger.
-    pub records: Vec<CycleRecord>,
-    /// Process-level resumes (state file successfully re-loaded).
-    pub resumes: u64,
-    /// Fresh starts forced by a corrupt/unreadable state file.
-    pub cold_restarts: u64,
-}
-
-impl PipelineState {
-    #[must_use]
-    pub fn fresh(seed: u64) -> Self {
-        Self {
-            seed,
-            cycle: 0,
-            stage: StageId::Estimate,
-            attempts_done: 0,
-            cycle_attempts: 0,
-            cycle_backoff_ms: 0,
-            cycle_solver_resumes: 0,
-            last_good: None,
-            pending: None,
-            pending_objective: None,
-            pending_migrated: 0,
-            pending_sim: None,
-            records: Vec::new(),
-            resumes: 0,
-            cold_restarts: 0,
-        }
-    }
-
-    /// Canonical placement fingerprint (what the kill/resume identity
-    /// harness compares).
-    #[must_use]
-    pub fn placement_fingerprint(p: &Placement) -> u64 {
-        fnv1a64(placement_to_value(p).to_string_pretty().as_bytes())
-    }
-
-    pub fn to_value(&self) -> Value {
-        let sim_v = sim_to_value;
-        let reason_v = reason_to_value;
-        let record_v = |r: &CycleRecord| {
-            Value::Obj(vec![
-                ("cycle".into(), Value::Num(r.cycle as f64)),
-                (
-                    "degraded".into(),
-                    r.degraded.as_ref().map_or(Value::Null, reason_v),
-                ),
-                ("attempts".into(), Value::Num(f64::from(r.attempts))),
-                ("backoff_ms".into(), u64_bits_value(r.backoff_ms)),
-                (
-                    "solver_resumes".into(),
-                    Value::Num(f64::from(r.solver_resumes)),
-                ),
-                ("placement_fnv".into(), u64_bits_value(r.placement_fnv)),
-                (
-                    "objective".into(),
-                    r.objective.map_or(Value::Null, f64_bits_value),
-                ),
-                ("migrated".into(), Value::Num(r.migrated as f64)),
-                ("sim".into(), r.sim.as_ref().map_or(Value::Null, sim_v)),
-            ])
-        };
-        Value::Obj(vec![
-            ("seed".into(), u64_bits_value(self.seed)),
-            ("cycle".into(), Value::Num(self.cycle as f64)),
-            ("stage".into(), Value::Str(self.stage.name().into())),
-            (
-                "attempts_done".into(),
-                Value::Num(f64::from(self.attempts_done)),
-            ),
-            (
-                "cycle_attempts".into(),
-                Value::Num(f64::from(self.cycle_attempts)),
-            ),
-            (
-                "cycle_backoff_ms".into(),
-                u64_bits_value(self.cycle_backoff_ms),
-            ),
-            (
-                "cycle_solver_resumes".into(),
-                Value::Num(f64::from(self.cycle_solver_resumes)),
-            ),
-            (
-                "last_good".into(),
-                self.last_good.as_ref().map_or(Value::Null, |(c, p)| {
-                    Value::Obj(vec![
-                        ("cycle".into(), Value::Num(*c as f64)),
-                        ("placement".into(), placement_to_value(p)),
-                    ])
-                }),
-            ),
-            (
-                "pending".into(),
-                self.pending
-                    .as_ref()
-                    .map_or(Value::Null, placement_to_value),
-            ),
-            (
-                "pending_objective".into(),
-                self.pending_objective.map_or(Value::Null, f64_bits_value),
-            ),
-            (
-                "pending_migrated".into(),
-                Value::Num(self.pending_migrated as f64),
-            ),
-            (
-                "pending_sim".into(),
-                self.pending_sim.as_ref().map_or(Value::Null, sim_v),
-            ),
-            (
-                "records".into(),
-                Value::Arr(self.records.iter().map(record_v).collect()),
-            ),
-            ("resumes".into(), u64_bits_value(self.resumes)),
-            ("cold_restarts".into(), u64_bits_value(self.cold_restarts)),
-        ])
-    }
-
-    /// Decode a persisted state. Every malformed field is a typed
-    /// error string — the caller falls back to a fresh start.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let field = |key: &str| -> Result<&Value, String> {
-            v.get(key).ok_or_else(|| format!("missing field {key:?}"))
-        };
-        let num_u32 = |x: &Value, what: &str| -> Result<u32, String> {
-            x.as_usize()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| format!("{what}: expected a u32"))
-        };
-        let sim_of = sim_from_value;
-        let reason_of = reason_from_value;
-        let records = field("records")?
-            .as_arr()
-            .ok_or("records: expected an array")?
-            .iter()
-            .map(|r| -> Result<CycleRecord, String> {
-                let rf = |key: &str| -> Result<&Value, String> {
-                    r.get(key).ok_or_else(|| format!("records.{key}: missing"))
-                };
-                Ok(CycleRecord {
-                    cycle: rf("cycle")?
-                        .as_usize()
-                        .ok_or("records.cycle: expected int")?,
-                    degraded: match rf("degraded")? {
-                        Value::Null => None,
-                        other => Some(reason_of(other)?),
-                    },
-                    attempts: num_u32(rf("attempts")?, "records.attempts")?,
-                    backoff_ms: u64_from_bits_value(rf("backoff_ms")?, "backoff_ms")
-                        .map_err(|e| e.to_string())?,
-                    solver_resumes: num_u32(rf("solver_resumes")?, "records.solver_resumes")?,
-                    placement_fnv: u64_from_bits_value(rf("placement_fnv")?, "placement_fnv")
-                        .map_err(|e| e.to_string())?,
-                    objective: match rf("objective")? {
-                        Value::Null => None,
-                        other => Some(
-                            f64_from_bits_value(other, "objective").map_err(|e| e.to_string())?,
-                        ),
-                    },
-                    migrated: rf("migrated")?
-                        .as_usize()
-                        .ok_or("records.migrated: expected int")?,
-                    sim: match rf("sim")? {
-                        Value::Null => None,
-                        other => Some(sim_of(other, "records.sim")?),
-                    },
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            seed: u64_from_bits_value(field("seed")?, "seed").map_err(|e| e.to_string())?,
-            cycle: field("cycle")?.as_usize().ok_or("cycle: expected int")?,
-            stage: field("stage")?
-                .as_str()
-                .and_then(StageId::from_name)
-                .ok_or("stage: unknown stage name")?,
-            attempts_done: num_u32(field("attempts_done")?, "attempts_done")?,
-            cycle_attempts: num_u32(field("cycle_attempts")?, "cycle_attempts")?,
-            cycle_backoff_ms: u64_from_bits_value(field("cycle_backoff_ms")?, "cycle_backoff_ms")
-                .map_err(|e| e.to_string())?,
-            cycle_solver_resumes: num_u32(field("cycle_solver_resumes")?, "cycle_solver_resumes")?,
-            last_good: match field("last_good")? {
-                Value::Null => None,
-                other => {
-                    let c = other
-                        .get("cycle")
-                        .and_then(Value::as_usize)
-                        .ok_or("last_good.cycle: expected int")?;
-                    let p = placement_from_value(
-                        other
-                            .get("placement")
-                            .ok_or("last_good.placement: missing")?,
-                    )
-                    .map_err(|e| e.to_string())?;
-                    Some((c, p))
-                }
-            },
-            pending: match field("pending")? {
-                Value::Null => None,
-                other => Some(placement_from_value(other).map_err(|e| e.to_string())?),
-            },
-            pending_objective: match field("pending_objective")? {
-                Value::Null => None,
-                other => Some(
-                    f64_from_bits_value(other, "pending_objective").map_err(|e| e.to_string())?,
-                ),
-            },
-            pending_migrated: field("pending_migrated")?
-                .as_usize()
-                .ok_or("pending_migrated: expected int")?,
-            pending_sim: match field("pending_sim")? {
-                Value::Null => None,
-                other => Some(sim_of(other, "pending_sim")?),
-            },
-            records,
-            resumes: u64_from_bits_value(field("resumes")?, "resumes")
-                .map_err(|e| e.to_string())?,
-            cold_restarts: u64_from_bits_value(field("cold_restarts")?, "cold_restarts")
-                .map_err(|e| e.to_string())?,
-        })
-    }
+/// Canonical placement fingerprint: FNV-64 of the placement's canonical
+/// serialization (what the kill/resume identity drills compare).
+#[must_use]
+pub fn placement_fingerprint(p: &Placement) -> u64 {
+    fnv1a64(placement_to_value(p).to_string_pretty().as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vod_model::VhoId;
-
-    fn sample_state() -> PipelineState {
-        let p = Placement::from_parts(
-            4,
-            vec![vec![VhoId::new(0), VhoId::new(2)], vec![VhoId::new(1)]],
-            vec![
-                vec![(VhoId::new(1), vec![(VhoId::new(0), 1.0)])],
-                Vec::new(),
-            ],
-        )
-        .unwrap();
-        PipelineState {
-            seed: 0x1234_5678_9abc_def0,
-            cycle: 2,
-            stage: StageId::Round,
-            attempts_done: 1,
-            cycle_attempts: 3,
-            cycle_backoff_ms: 750,
-            cycle_solver_resumes: 1,
-            last_good: Some((1, p.clone())),
-            pending: Some(p),
-            pending_objective: Some(17.25),
-            pending_migrated: 5,
-            pending_sim: Some(SimSummary {
-                max_gbps: 0.75,
-                local_frac: 0.5,
-                total_requests: 1234,
-            }),
-            records: vec![
-                CycleRecord {
-                    cycle: 0,
-                    degraded: None,
-                    attempts: 4,
-                    backoff_ms: 0,
-                    solver_resumes: 0,
-                    placement_fnv: 0xfeed_beef,
-                    objective: Some(42.5),
-                    migrated: 7,
-                    sim: None,
-                },
-                CycleRecord {
-                    cycle: 1,
-                    degraded: Some(DegradeReason::StageFailed {
-                        stage: StageId::Solve,
-                        attempts: 3,
-                        last_error: "injected failure".into(),
-                    }),
-                    attempts: 3,
-                    backoff_ms: 1500,
-                    solver_resumes: 2,
-                    placement_fnv: 0xfeed_beef,
-                    objective: None,
-                    migrated: 0,
-                    sim: Some(SimSummary {
-                        max_gbps: 1.5,
-                        local_frac: 0.25,
-                        total_requests: 99,
-                    }),
-                },
-            ],
-            resumes: 3,
-            cold_restarts: 1,
-        }
-    }
-
-    #[test]
-    fn state_round_trips() {
-        let st = sample_state();
-        let back = PipelineState::from_value(&st.to_value()).unwrap();
-        assert_eq!(back.seed, st.seed);
-        assert_eq!(back.cycle, st.cycle);
-        assert_eq!(back.stage, st.stage);
-        assert_eq!(back.attempts_done, st.attempts_done);
-        assert_eq!(back.cycle_backoff_ms, st.cycle_backoff_ms);
-        assert_eq!(back.pending_objective, st.pending_objective);
-        assert_eq!(back.pending_migrated, st.pending_migrated);
-        assert_eq!(back.records.len(), 2);
-        assert_eq!(back.records[1].degraded, st.records[1].degraded);
-        assert_eq!(back.records[0].objective, st.records[0].objective);
-        assert_eq!(back.resumes, 3);
-        assert_eq!(back.cold_restarts, 1);
-        let (c, p) = back.last_good.unwrap();
-        assert_eq!(c, 1);
-        assert_eq!(
-            p.holder_lists(),
-            st.last_good.as_ref().unwrap().1.holder_lists()
-        );
-        // Canonical serialization is stable, so fingerprints are too.
-        assert_eq!(
-            PipelineState::placement_fingerprint(&p),
-            PipelineState::placement_fingerprint(&st.last_good.unwrap().1)
-        );
-    }
-
-    #[test]
-    fn malformed_states_are_typed_errors() {
-        assert!(PipelineState::from_value(&Value::Null).is_err());
-        assert!(PipelineState::from_value(&Value::Obj(vec![])).is_err());
-        let mut v = sample_state().to_value();
-        if let Value::Obj(fields) = &mut v {
-            for (k, val) in fields.iter_mut() {
-                if k == "stage" {
-                    *val = Value::Str("no-such-stage".into());
-                }
-            }
-        }
-        let err = PipelineState::from_value(&v).unwrap_err();
-        assert!(err.contains("stage"), "{err}");
-    }
 
     #[test]
     fn every_degrade_reason_round_trips() {

@@ -107,7 +107,9 @@ fn clean_service_run_deploys_every_cycle() {
         );
         let rate = r.denial_rate.unwrap();
         assert!((0.0..=1.0).contains(&rate));
-        assert!(r.sim.as_ref().unwrap().total_requests > 0);
+        let sim = r.sim.as_ref().unwrap();
+        assert!(sim.total_requests > 0);
+        assert!((0.0..=1.0).contains(&sim.local_frac));
     }
     // Uncapped: the bootstrap is free and nothing is ever deferred.
     assert_eq!(st.records[0].moved, 0);
@@ -196,8 +198,9 @@ fn churn_cap_is_enforced_and_deferrals_drain() {
 #[test]
 fn stale_serve_accounts_denials_instead_of_aborting() {
     let w = world(44);
-    // Exhaust cycle 0's solve retries: where the pipeline would stop
-    // with NoFallback, the service must stale-serve and keep going.
+    // Exhaust cycle 0's solve retries: with nothing deployed yet there
+    // is no last-good to fall back to, so the service must stale-serve
+    // and keep going.
     let plan = ServicePlan {
         fail: (0..3).map(|a| (0, StageId::Solve, a)).collect(),
         ..ServicePlan::default()
@@ -424,4 +427,119 @@ fn seed_mismatch_is_refused_and_foreign_faults_rejected() {
         Err(OpsError::Invalid { what }) => assert!(what.contains("fault"), "{what}"),
         other => panic!("expected Invalid, got {other:?}"),
     }
+}
+
+#[test]
+fn exhausted_solve_retries_degrade_to_last_good() {
+    let w = world(53);
+    // Fail every allowed attempt of cycle 1's solve stage.
+    let plan = ServicePlan {
+        fail: (0..3).map(|a| (1, StageId::Solve, a)).collect(),
+        ..ServicePlan::default()
+    };
+    let mut s = Service::resume_or_start(&w, config(53, fresh_dir("degrade")), plan).unwrap();
+    let st = s.run().unwrap().clone();
+    assert!(st.records.len() >= 2);
+    let good = &st.records[0];
+    let bad = &st.records[1];
+    assert!(good.degraded.is_none());
+    match bad.degraded.as_ref().unwrap() {
+        DegradeReason::StageFailed {
+            stage,
+            attempts,
+            last_error,
+        } => {
+            assert_eq!(*stage, StageId::Solve);
+            assert_eq!(*attempts, 3);
+            assert!(last_error.contains("injected"), "{last_error}");
+        }
+        other => panic!("wrong degrade reason: {other:?}"),
+    }
+    // The degraded cycle serves the previous cycle's placement, and
+    // its window is replayed against it …
+    assert_eq!(bad.placement_fnv, good.placement_fnv);
+    assert!(bad.recoveries.contains(&RecoveryAction::LastGood));
+    assert!(!bad.stale);
+    assert!(bad.objective.is_none());
+    assert!(bad.sim.as_ref().unwrap().total_requests > 0);
+    // … and its recorded backoff grew across the retries.
+    assert!(bad.backoff_ms > 0);
+    // Cycle 2 recovers with a fresh solve anchored on the same
+    // placement.
+    if let Some(r2) = st.records.get(2) {
+        assert!(r2.degraded.is_none());
+    }
+}
+
+#[test]
+fn validation_failure_degrades_with_typed_reason() {
+    let w = world(54);
+    let mut cfg = config(54, fresh_dir("valfail"));
+    cfg.ops.simulate = false;
+    // Exhaust the validate stage's attempts in cycle 1: the cycle must
+    // close on cycle 0's placement with the failing stage recorded.
+    let plan = ServicePlan {
+        fail: (0..3).map(|a| (1, StageId::Validate, a)).collect(),
+        ..ServicePlan::default()
+    };
+    let mut s = Service::resume_or_start(&w, cfg, plan).unwrap();
+    let st = s.run().unwrap();
+    let bad = &st.records[1];
+    match bad.degraded.as_ref().unwrap() {
+        DegradeReason::StageFailed { stage, .. } => assert_eq!(*stage, StageId::Validate),
+        other => panic!("wrong reason: {other:?}"),
+    }
+    assert_eq!(bad.placement_fnv, st.records[0].placement_fnv);
+    assert!(bad.sim.is_none(), "simulate is off");
+}
+
+#[test]
+fn kill_mid_solve_resumes_its_checkpoint_bitwise() {
+    let w = world(55);
+    let base = Service::resume_or_start(
+        &w,
+        config(55, fresh_dir("midsolve_base")),
+        ServicePlan::default(),
+    )
+    .unwrap()
+    .run()
+    .unwrap()
+    .clone();
+
+    // Die mid-solve in cycle 0 (after 1 checkpoint) and in cycle 1
+    // (after 2), dropping the service value at each crash and resuming
+    // from the durable state alone — a true process death.
+    let dir = fresh_dir("midsolve");
+    let mut kills = vec![(0usize, 1u64), (1usize, 2u64)];
+    let st = loop {
+        let plan = ServicePlan {
+            kill_mid_solve: kills.clone(),
+            ..ServicePlan::default()
+        };
+        let mut s = Service::resume_or_start(&w, config(55, dir.clone()), plan).unwrap();
+        let crashed = loop {
+            match s.step().unwrap() {
+                StepOutcome::SimulatedCrash { cycle } => break Some(cycle),
+                StepOutcome::Finished => break None,
+                _ => {}
+            }
+        };
+        match crashed {
+            Some(cycle) => kills.retain(|(c, _)| *c != cycle),
+            None => break s.state().clone(),
+        }
+    };
+    assert!(
+        st.resumes >= 2,
+        "expected two process resumes, saw {}",
+        st.resumes
+    );
+    assert!(
+        st.records
+            .iter()
+            .any(|r| r.solver_resumes > 0 && r.recoveries.contains(&RecoveryAction::WarmResume)),
+        "no cycle actually resumed a solver checkpoint"
+    );
+    assert_eq!(fingerprints(&st), fingerprints(&base));
+    assert!(st.records.iter().all(|r| r.degraded.is_none()));
 }

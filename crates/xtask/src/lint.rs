@@ -253,7 +253,7 @@ mod tests {
         // In the shim-observable crates a raw write is *two* findings:
         // it can be torn by a crash (snapshot-io) and the injectable
         // fault schedule can never reach it (io-fault-shim).
-        for path in ["crates/json/src/snapshot.rs", "crates/ops/src/pipeline.rs"] {
+        for path in ["crates/json/src/snapshot.rs", "crates/ops/src/service.rs"] {
             let f = lint_file(path, src);
             assert_eq!(
                 rules_of(&f),
@@ -270,10 +270,7 @@ mod tests {
         // required) but is outside the fault shim's jurisdiction: the
         // drills corrupt files deliberately, simulating external
         // damage the shim must not see.
-        for path in [
-            "crates/bench/src/lib.rs",
-            "crates/bench/src/bin/ops_pipeline.rs",
-        ] {
+        for path in ["crates/bench/src/lib.rs", "crates/bench/src/bin/drill.rs"] {
             let f = lint_file(path, src);
             assert_eq!(rules_of(&f), ["snapshot-io", "snapshot-io"], "{path}");
         }
@@ -294,7 +291,7 @@ mod tests {
         // Reads are torn-safe, so snapshot-io stays silent; outside the
         // shim's scope (bench, other crates, test code) so does
         // io-fault-shim.
-        assert!(lint_file("crates/bench/src/bin/service_drill.rs", src).is_empty());
+        assert!(lint_file("crates/bench/src/bin/drill.rs", src).is_empty());
         assert!(lint_file("crates/core/src/epf.rs", src).is_empty());
         assert!(lint_file("crates/ops/tests/cold_restart.rs", src).is_empty());
         let in_tests = format!("#[cfg(test)]\nmod tests {{\n    {src}\n}}\n");
@@ -313,7 +310,7 @@ mod tests {
         assert!(lint_file("crates/core/src/x.rs", src).is_empty());
         assert!(lint_file("crates/trace/src/x.rs", src).is_empty());
         // Tests corrupt files on purpose.
-        assert!(lint_file("crates/ops/tests/pipeline.rs", src).is_empty());
+        assert!(lint_file("crates/ops/tests/service_loop.rs", src).is_empty());
         let in_tests = format!("#[cfg(test)]\nmod tests {{\n    {src}\n}}\n");
         assert!(lint_file("crates/json/src/snapshot.rs", &in_tests).is_empty());
     }
@@ -357,7 +354,7 @@ mod tests {
         // park_timeout is a disguised sleep; a justified allow works.
         let park = "fn f() { std::thread::park_timeout(d); }\n";
         assert_eq!(
-            rules_of(&lint_file("crates/ops/src/pipeline.rs", park)),
+            rules_of(&lint_file("crates/ops/src/service.rs", park)),
             ["sleep-timer"]
         );
         let allowed = "// lint:allow(sleep-timer): shutdown drain, not a backoff\n\
