@@ -58,7 +58,7 @@ pub const DEFAULT_ROOTS: [&str; 11] = [
     "round_solution",
     "write_atomic",
     "write_snapshot_atomic",
-    "write_json_snapshot",
+    "write_durable",
 ];
 
 /// One input file: workspace-relative `/`-separated path + contents.

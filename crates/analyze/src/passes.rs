@@ -111,7 +111,7 @@ pub const BLESSED: &[(&str, &str, &str, &str)] = &[
          injectable fault schedule first, and reads are declared input, not ambient state",
     ),
     (
-        "read_json_snapshot",
+        "read_durable",
         "determinism-taint",
         "fs-read",
         "checkpoint/snapshot reads are part of the solver's declared input, not ambient state",

@@ -68,7 +68,7 @@ fn kernels_from_args() -> Vec<Kernel> {
                 continue;
             }
             let Some(k) = Kernel::from_name(&arg) else {
-                eprintln!("unknown --kernel {arg:?} (scalar|chunked|simd|all)");
+                eprintln!("unknown --kernel {arg:?} (scalar|chunked|all)");
                 std::process::exit(2);
             };
             if !out.contains(&k) {

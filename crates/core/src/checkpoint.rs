@@ -31,12 +31,10 @@
 
 use crate::epf::{EpfConfig, RunState};
 use crate::instance::MipInstance;
-use crate::solution::{BlockSolution, FractionalSolution, Placement};
+use crate::solution::{BlockSolution, FractionalSolution};
 use std::fmt;
-use vod_json::snapshot::{
-    f64_bits_value, f64_from_bits_value, u64_bits_value, u64_from_bits_value,
-};
-use vod_json::Value;
+use vod_json::snapshot::{DecodeError, Durable};
+use vod_json::{durable_struct, Value};
 use vod_model::VhoId;
 
 /// Snapshot-container kind tag for solver checkpoints.
@@ -65,6 +63,12 @@ impl fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+impl From<DecodeError> for CheckpointError {
+    fn from(e: DecodeError) -> Self {
+        Self::new(e.to_string())
+    }
+}
 
 /// Complete EPF solver state at a pass boundary.
 #[derive(Debug, Clone)]
@@ -110,7 +114,7 @@ impl SolverCheckpoint {
     /// `vod_json::snapshot` container for on-disk durability).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_value().to_string_pretty().into_bytes()
+        self.encode().to_string_pretty().into_bytes()
     }
 
     /// Deserialize a checkpoint payload. Structural problems come back
@@ -120,134 +124,7 @@ impl SolverCheckpoint {
             std::str::from_utf8(bytes).map_err(|_| CheckpointError::new("payload is not UTF-8"))?;
         let value = Value::parse(text)
             .map_err(|e| CheckpointError::new(format!("payload is not valid JSON: {e}")))?;
-        Self::from_value(&value)
-    }
-
-    fn to_value(&self) -> Value {
-        let f64_arr = |xs: &[f64]| Value::Arr(xs.iter().map(|&x| f64_bits_value(x)).collect());
-        let num = |x: usize| Value::Num(x as f64);
-        let blocks_v = |bs: &[BlockSolution]| Value::Arr(bs.iter().map(block_to_value).collect());
-        Value::Obj(vec![
-            ("fingerprint".into(), u64_bits_value(self.fingerprint)),
-            ("global_pass".into(), u64_bits_value(self.global_pass)),
-            ("passes_done".into(), num(self.passes_done)),
-            ("block_steps".into(), u64_bits_value(self.block_steps)),
-            ("lb".into(), f64_bits_value(self.lb)),
-            ("ub".into(), f64_bits_value(self.ub)),
-            ("lo".into(), f64_bits_value(self.lo)),
-            (
-                "target".into(),
-                match self.target {
-                    Some(b) => f64_bits_value(b),
-                    None => Value::Null,
-                },
-            ),
-            ("delta".into(), f64_bits_value(self.delta)),
-            ("usage".into(), f64_arr(&self.usage)),
-            ("obj".into(), f64_bits_value(self.obj)),
-            ("smoothed_rows".into(), f64_arr(&self.smoothed_rows)),
-            ("smoothed_obj".into(), f64_bits_value(self.smoothed_obj)),
-            (
-                "order".into(),
-                Value::Arr(self.order.iter().map(|&i| num(i)).collect()),
-            ),
-            (
-                "run".into(),
-                Value::Obj(vec![
-                    ("local_pass".into(), num(self.run.local_pass)),
-                    ("budget".into(), num(self.run.budget)),
-                    ("snap_delta".into(), f64_bits_value(self.run.snap_delta)),
-                    ("track_lb".into(), Value::Bool(self.run.track_lb)),
-                    ("lb_run".into(), f64_bits_value(self.run.lb_run)),
-                ]),
-            ),
-            ("blocks".into(), blocks_v(&self.blocks)),
-            ("zstar".into(), blocks_v(&self.zstar)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self, CheckpointError> {
-        let field = |key: &str| {
-            v.get(key)
-                .ok_or_else(|| CheckpointError::new(format!("missing field {key:?}")))
-        };
-        let f = |key: &str| -> Result<f64, CheckpointError> {
-            f64_from_bits_value(field(key)?, key).map_err(|e| CheckpointError::new(e.to_string()))
-        };
-        let u = |key: &str| -> Result<u64, CheckpointError> {
-            u64_from_bits_value(field(key)?, key).map_err(|e| CheckpointError::new(e.to_string()))
-        };
-        let n = |key: &str| -> Result<usize, CheckpointError> {
-            field(key)?
-                .as_usize()
-                .ok_or_else(|| CheckpointError::new(format!("{key}: expected an integer")))
-        };
-        let f64_vec = |key: &str| -> Result<Vec<f64>, CheckpointError> {
-            field(key)?
-                .as_arr()
-                .ok_or_else(|| CheckpointError::new(format!("{key}: expected an array")))?
-                .iter()
-                .map(|x| {
-                    f64_from_bits_value(x, key).map_err(|e| CheckpointError::new(e.to_string()))
-                })
-                .collect()
-        };
-        let target = match field("target")? {
-            Value::Null => None,
-            other => Some(
-                f64_from_bits_value(other, "target")
-                    .map_err(|e| CheckpointError::new(e.to_string()))?,
-            ),
-        };
-        let order = field("order")?
-            .as_arr()
-            .ok_or_else(|| CheckpointError::new("order: expected an array"))?
-            .iter()
-            .map(|x| {
-                x.as_usize()
-                    .ok_or_else(|| CheckpointError::new("order: expected integers"))
-            })
-            .collect::<Result<Vec<usize>, _>>()?;
-        let run_v = field("run")?;
-        let run_field = |key: &str| {
-            run_v
-                .get(key)
-                .ok_or_else(|| CheckpointError::new(format!("missing field run.{key}")))
-        };
-        let run = RunState {
-            local_pass: run_field("local_pass")?
-                .as_usize()
-                .ok_or_else(|| CheckpointError::new("run.local_pass: expected an integer"))?,
-            budget: run_field("budget")?
-                .as_usize()
-                .ok_or_else(|| CheckpointError::new("run.budget: expected an integer"))?,
-            snap_delta: f64_from_bits_value(run_field("snap_delta")?, "run.snap_delta")
-                .map_err(|e| CheckpointError::new(e.to_string()))?,
-            track_lb: run_field("track_lb")?
-                .as_bool()
-                .ok_or_else(|| CheckpointError::new("run.track_lb: expected a bool"))?,
-            lb_run: f64_from_bits_value(run_field("lb_run")?, "run.lb_run")
-                .map_err(|e| CheckpointError::new(e.to_string()))?,
-        };
-        Ok(Self {
-            fingerprint: u("fingerprint")?,
-            global_pass: u("global_pass")?,
-            passes_done: n("passes_done")?,
-            block_steps: u("block_steps")?,
-            lb: f("lb")?,
-            ub: f("ub")?,
-            lo: f("lo")?,
-            target,
-            delta: f("delta")?,
-            usage: f64_vec("usage")?,
-            obj: f("obj")?,
-            smoothed_rows: f64_vec("smoothed_rows")?,
-            smoothed_obj: f("smoothed_obj")?,
-            order,
-            run,
-            blocks: blocks_from_value(field("blocks")?, "blocks")?,
-            zstar: blocks_from_value(field("zstar")?, "zstar")?,
-        })
+        Ok(Self::decode(&value)?)
     }
 
     /// Public form of [`Self::validate_for`]: would this checkpoint
@@ -314,6 +191,34 @@ impl SolverCheckpoint {
     }
 }
 
+durable_struct!(SolverCheckpoint {
+    fingerprint,
+    global_pass,
+    passes_done,
+    block_steps,
+    lb,
+    ub,
+    lo,
+    target,
+    delta,
+    usage,
+    obj,
+    smoothed_rows,
+    smoothed_obj,
+    order,
+    run,
+    blocks,
+    zstar,
+});
+
+durable_struct!(RunState {
+    local_pass,
+    budget,
+    snap_delta,
+    track_lb,
+    lb_run,
+});
+
 /// Shape-check a block-solution vector against the instance so later
 /// dense row indexing cannot go out of bounds.
 fn validate_blocks(
@@ -355,196 +260,13 @@ fn validate_blocks(
     Ok(())
 }
 
-fn block_to_value(b: &BlockSolution) -> Value {
-    let pairs = |ps: &[(VhoId, f64)]| {
-        Value::Arr(
-            ps.iter()
-                .map(|&(i, x)| Value::Arr(vec![Value::Num(i.index() as f64), f64_bits_value(x)]))
-                .collect(),
-        )
-    };
-    Value::Obj(vec![
-        ("y".into(), pairs(&b.y)),
-        (
-            "x".into(),
-            Value::Arr(b.x.iter().map(|d| pairs(d)).collect()),
-        ),
-    ])
-}
-
-fn pairs_from_value(v: &Value, what: &str) -> Result<Vec<(VhoId, f64)>, CheckpointError> {
-    v.as_arr()
-        .ok_or_else(|| CheckpointError::new(format!("{what}: expected an array")))?
-        .iter()
-        .map(|pair| {
-            let items = pair.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
-                CheckpointError::new(format!("{what}: expected [id, bits] pairs"))
-            })?;
-            let idx = items[0]
-                .as_usize()
-                .filter(|&i| u16::try_from(i).is_ok())
-                .ok_or_else(|| CheckpointError::new(format!("{what}: VHO id out of range")))?;
-            let x = f64_from_bits_value(&items[1], what)
-                .map_err(|e| CheckpointError::new(e.to_string()))?;
-            // lint:allow(raw-index): deserializing persisted VHO ids, range-checked above
-            Ok((VhoId::from_index(idx), x))
-        })
-        .collect()
-}
-
-fn blocks_from_value(v: &Value, what: &str) -> Result<Vec<BlockSolution>, CheckpointError> {
-    v.as_arr()
-        .ok_or_else(|| CheckpointError::new(format!("{what}: expected an array")))?
-        .iter()
-        .map(|bv| {
-            let y = pairs_from_value(
-                bv.get("y")
-                    .ok_or_else(|| CheckpointError::new(format!("{what}: block missing y")))?,
-                what,
-            )?;
-            let x = bv
-                .get("x")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| CheckpointError::new(format!("{what}: block missing x")))?
-                .iter()
-                .map(|d| pairs_from_value(d, what))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(BlockSolution { y, x })
-        })
-        .collect()
-}
-
-/// Serialize a fractional solution — the solve→round stage boundary of
-/// a supervised pipeline, persisted so a crash between the two stages
-/// does not force a re-solve.
-#[must_use]
-pub fn fractional_to_value(f: &FractionalSolution) -> Value {
-    Value::Obj(vec![
-        (
-            "blocks".into(),
-            Value::Arr(f.blocks.iter().map(block_to_value).collect()),
-        ),
-        ("objective".into(), f64_bits_value(f.objective)),
-        ("max_violation".into(), f64_bits_value(f.max_violation)),
-        ("lower_bound".into(), f64_bits_value(f.lower_bound)),
-    ])
-}
-
-/// Decode a persisted fractional solution, shape-validated against the
-/// instance it is about to be rounded for.
-pub fn fractional_from_value(
-    v: &Value,
+/// Shape-check a decoded fractional solution (the solve→round stage
+/// artifact) against the instance it is about to be rounded for.
+pub fn validate_fractional(
+    f: &FractionalSolution,
     inst: &MipInstance,
-) -> Result<FractionalSolution, CheckpointError> {
-    let field = |key: &str| {
-        v.get(key)
-            .ok_or_else(|| CheckpointError::new(format!("missing field {key:?}")))
-    };
-    let f = |key: &str| -> Result<f64, CheckpointError> {
-        f64_from_bits_value(field(key)?, key).map_err(|e| CheckpointError::new(e.to_string()))
-    };
-    let blocks = blocks_from_value(field("blocks")?, "blocks")?;
-    validate_blocks(&blocks, "blocks", inst, inst.n_vhos()).map_err(CheckpointError::new)?;
-    Ok(FractionalSolution {
-        blocks,
-        objective: f("objective")?,
-        max_violation: f("max_violation")?,
-        lower_bound: f("lower_bound")?,
-    })
-}
-
-/// Serialize a (rounded, integral) placement including its serving
-/// routing, so a restored placement drives the simulator identically.
-#[must_use]
-pub fn placement_to_value(p: &Placement) -> Value {
-    let ids = |holders: &[VhoId]| {
-        Value::Arr(
-            holders
-                .iter()
-                .map(|i| Value::Num(i.index() as f64))
-                .collect(),
-        )
-    };
-    let pairs = |ps: &[(VhoId, f64)]| {
-        Value::Arr(
-            ps.iter()
-                .map(|&(i, x)| Value::Arr(vec![Value::Num(i.index() as f64), f64_bits_value(x)]))
-                .collect(),
-        )
-    };
-    let routing = p
-        .routing_lists()
-        .iter()
-        .map(|clients| {
-            Value::Arr(
-                clients
-                    .iter()
-                    .map(|(j, dist)| Value::Arr(vec![Value::Num(j.index() as f64), pairs(dist)]))
-                    .collect(),
-            )
-        })
-        .collect();
-    Value::Obj(vec![
-        ("n_vhos".into(), Value::Num(p.n_vhos() as f64)),
-        (
-            "stores".into(),
-            Value::Arr(p.holder_lists().iter().map(|h| ids(h)).collect()),
-        ),
-        ("routing".into(), Value::Arr(routing)),
-    ])
-}
-
-/// Decode a persisted placement. Every index is validated against the
-/// declared shape; malformed payloads are typed errors.
-pub fn placement_from_value(v: &Value) -> Result<Placement, CheckpointError> {
-    let field = |key: &str| {
-        v.get(key)
-            .ok_or_else(|| CheckpointError::new(format!("missing field {key:?}")))
-    };
-    let n_vhos = field("n_vhos")?
-        .as_usize()
-        .filter(|&n| n > 0 && u16::try_from(n).is_ok())
-        .ok_or_else(|| CheckpointError::new("n_vhos: expected a u16-ranged integer"))?;
-    let vho = |x: &Value, what: &str| -> Result<VhoId, CheckpointError> {
-        x.as_usize()
-            .filter(|&i| u16::try_from(i).is_ok())
-            // lint:allow(raw-index): deserializing persisted VHO ids, range-checked above
-            .map(VhoId::from_index)
-            .ok_or_else(|| CheckpointError::new(format!("{what}: VHO id out of range")))
-    };
-    let stores = field("stores")?
-        .as_arr()
-        .ok_or_else(|| CheckpointError::new("stores: expected an array"))?
-        .iter()
-        .map(|hv| {
-            hv.as_arr()
-                .ok_or_else(|| CheckpointError::new("stores: expected id arrays"))?
-                .iter()
-                .map(|x| vho(x, "stores"))
-                .collect::<Result<Vec<VhoId>, _>>()
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let routing = field("routing")?
-        .as_arr()
-        .ok_or_else(|| CheckpointError::new("routing: expected an array"))?
-        .iter()
-        .map(|cv| {
-            cv.as_arr()
-                .ok_or_else(|| CheckpointError::new("routing: expected client arrays"))?
-                .iter()
-                .map(|entry| {
-                    let items = entry.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
-                        CheckpointError::new("routing: expected [client, dist] pairs")
-                    })?;
-                    Ok((
-                        vho(&items[0], "routing")?,
-                        pairs_from_value(&items[1], "routing")?,
-                    ))
-                })
-                .collect::<Result<Vec<_>, CheckpointError>>()
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Placement::from_parts(n_vhos, stores, routing).map_err(CheckpointError::new)
+) -> Result<(), CheckpointError> {
+    validate_blocks(&f.blocks, "blocks", inst, inst.n_vhos()).map_err(CheckpointError::new)
 }
 
 /// Fingerprint of every config field and instance dimension that
@@ -560,10 +282,12 @@ pub(crate) fn config_fingerprint(cfg: &EpfConfig, inst: &MipInstance) -> u64 {
     let mut push = |x: u64| buf.extend_from_slice(&x.to_le_bytes());
     push(cfg.epsilon.to_bits());
     push(cfg.gamma.to_bits());
-    push(cfg.rho.to_bits());
-    push(cfg.chunk_size as u64);
+    push(crate::epf::RHO.to_bits());
+    push(crate::epf::CHUNK_SIZE as u64);
     push(cfg.max_passes as u64);
-    push(cfg.lb_every as u64);
+    // Bound-sampling cadence: every pass. Kept in its slot so existing
+    // checkpoints keep their fingerprint.
+    push(1);
     push(cfg.polish_iters as u64);
     push(cfg.seed);
     push(u64::from(cfg.feasibility_only));
@@ -682,7 +406,7 @@ mod tests {
         assert!(SolverCheckpoint::from_bytes(b"{}").is_err());
         assert!(SolverCheckpoint::from_bytes(&[0xFF, 0xFE]).is_err());
         // Valid JSON, wrong field type.
-        let mut ck = sample().to_value();
+        let mut ck = sample().encode();
         if let Value::Obj(fields) = &mut ck {
             for (k, v) in fields.iter_mut() {
                 if k == "delta" {
@@ -690,7 +414,7 @@ mod tests {
                 }
             }
         }
-        let err = SolverCheckpoint::from_value(&ck).unwrap_err();
+        let err = CheckpointError::from(SolverCheckpoint::decode(&ck).unwrap_err());
         assert!(err.to_string().contains("delta"), "{err}");
     }
 }

@@ -28,6 +28,11 @@ use std::sync::RwLock;
 use std::time::{Duration, Instant};
 use vod_model::rng::derive_rng;
 
+/// Dual smoothing ρ ∈ [0, 1) (Algorithm 1 step 14).
+pub(crate) const RHO: f64 = 0.5;
+/// Blocks per chunk (one dual snapshot / parallel batch per chunk).
+pub(crate) const CHUNK_SIZE: usize = 32;
+
 /// Solver parameters (Algorithm 1 line 1).
 #[derive(Debug, Clone)]
 pub struct EpfConfig {
@@ -37,10 +42,6 @@ pub struct EpfConfig {
     pub epsilon: f64,
     /// Exponent factor γ ≈ 1.
     pub gamma: f64,
-    /// Dual smoothing ρ ∈ [0, 1).
-    pub rho: f64,
-    /// Blocks per chunk (one dual snapshot / parallel batch per chunk).
-    pub chunk_size: usize,
     /// Hard cap on passes.
     pub max_passes: usize,
     /// Worker threads for chunk optimization; 0 = all available cores.
@@ -48,8 +49,6 @@ pub struct EpfConfig {
     /// Pure feasibility mode: ignore the objective, stop as soon as
     /// `δ_c(z) ≤ ε` (used by the feasibility-region searches).
     pub feasibility_only: bool,
-    /// Compute the Lagrangian lower bound every this many passes.
-    pub lb_every: usize,
     /// Iterations of the final subgradient polish of the lower bound
     /// (0 disables it).
     pub polish_iters: usize,
@@ -116,12 +115,9 @@ impl Default for EpfConfig {
         Self {
             epsilon: 0.01,
             gamma: 1.0,
-            rho: 0.5,
-            chunk_size: 32,
             max_passes: 1500,
             threads: 0,
             feasibility_only: false,
-            lb_every: 1,
             polish_iters: 120,
             seed: 0,
             wall_limit: None,
@@ -799,7 +795,7 @@ pub(crate) fn solve_fractional_driven(
     let start = Instant::now();
     let n = inst.n_videos();
     assert!(n > 0, "instance has no videos");
-    assert!(cfg.epsilon > 0.0 && cfg.rho < 1.0 && cfg.lb_every > 0);
+    assert!(cfg.epsilon > 0.0);
     let layout = layout_of(inst);
     let threads = cfg.effective_threads(n);
     // The penalty arena and the worker pool live for the whole solve:
@@ -897,7 +893,7 @@ fn solve_with_pool(
     let n = inst.n_videos();
     let threads = cfg.effective_threads(n);
     let idx_all: Vec<usize> = (0..n).collect();
-    let chunk_size = cfg.chunk_size.clamp(1, n.max(1));
+    let chunk_size = CHUNK_SIZE.clamp(1, n.max(1));
     let fingerprint = crate::checkpoint::config_fingerprint(cfg, inst);
 
     /// Outcome of one fixed-target FEAS run.
@@ -1176,15 +1172,15 @@ fn solve_with_pool(
                     // arena's skip logic.
                     let cur = coupling.duals();
                     for (sm, c) in smoothed.rows.iter_mut().zip(&cur.rows) {
-                        *sm = cfg.rho * *sm + (1.0 - cfg.rho) * c;
+                        *sm = RHO * *sm + (1.0 - RHO) * c;
                     }
-                    smoothed.obj = cfg.rho * smoothed.obj + (1.0 - cfg.rho) * cur.obj;
+                    smoothed.obj = RHO * smoothed.obj + (1.0 - RHO) * cur.obj;
                     smoothed.bump_version();
 
-                    // Sample the Lagrangian bound along the trajectory
-                    // — the duals wander, and the best bound often
-                    // shows up mid-run.
-                    if run.track_lb && run.local_pass % cfg.lb_every.max(1) == 0 {
+                    // Sample the Lagrangian bound along the trajectory,
+                    // every pass — the duals wander, and the best bound
+                    // often shows up mid-run.
+                    if run.track_lb {
                         if let Some(lr) =
                             lagrangian_bound(&layout, &coupling, &smoothed, pool, &idx_all)
                         {

@@ -3,6 +3,8 @@
 
 use crate::block::UflSolution;
 use crate::instance::{MipInstance, VideoBlock};
+use vod_json::snapshot::{field, field_with, As, Codec, DecodeError, Durable, Own, Pair, Seq};
+use vod_json::{durable_struct, Value};
 use vod_model::{Catalog, Gigabytes, VhoId, VideoId};
 
 /// Threshold below which y/x components are pruned during convex
@@ -141,6 +143,24 @@ pub struct FractionalSolution {
     /// runs).
     pub lower_bound: f64,
 }
+
+/// A sparse per-VHO vector (`y`, a serving distribution): an array of
+/// `[vho, value]` pairs, values as bit patterns.
+type VhoValues = Seq<Pair<As<u16>, Own>>;
+/// A holder list: an array of VHO indices.
+type VhoList = Seq<As<u16>>;
+
+durable_struct!(BlockSolution {
+    y via VhoValues,
+    x via Seq<VhoValues>,
+});
+
+durable_struct!(FractionalSolution {
+    blocks,
+    objective,
+    max_violation,
+    lower_bound,
+});
 
 /// The final placement: which VHOs store each video (`y`, integral) and
 /// how each VHO's requests are split across the copies (`x`).
@@ -295,8 +315,7 @@ impl Placement {
         self.stores.clone()
     }
 
-    /// The serving-distribution routing, per video (for persistence —
-    /// see [`crate::checkpoint::placement_to_value`]).
+    /// The serving-distribution routing, per video.
     pub fn routing_lists(&self) -> &[Vec<(VhoId, ServingDist)>] {
         &self.routing
     }
@@ -380,6 +399,35 @@ impl Placement {
             }
         }
         total
+    }
+}
+
+/// Per video: `[client, serving distribution]` pairs.
+type Routing = Seq<Seq<Pair<As<u16>, VhoValues>>>;
+
+/// A placement persists with its serving routing, so a restored
+/// placement drives the simulator identically. Decoding re-validates
+/// every index through [`Placement::from_parts`].
+impl Durable for Placement {
+    fn encode(&self) -> Value {
+        Value::Obj(vec![
+            ("n_vhos".into(), self.n_vhos.encode()),
+            ("stores".into(), Seq::<VhoList>::encode(&self.stores)),
+            ("routing".into(), Routing::encode(&self.routing)),
+        ])
+    }
+
+    fn decode(v: &Value) -> Result<Self, DecodeError> {
+        let n_vhos: u16 = field(v, "n_vhos")?;
+        if n_vhos == 0 {
+            return Err(DecodeError::new("expected at least one VHO").at("n_vhos"));
+        }
+        Self::from_parts(
+            usize::from(n_vhos),
+            field_with(v, "stores", Seq::<VhoList>::decode)?,
+            field_with(v, "routing", Routing::decode)?,
+        )
+        .map_err(DecodeError::new)
     }
 }
 

@@ -63,12 +63,6 @@ fn validate(inst: &MipInstance, cfg: &EpfConfig) -> Result<(), SolveError> {
     if !cfg.gamma.is_finite() || cfg.gamma <= 0.0 {
         return bad(format!("gamma must be finite and > 0 (got {})", cfg.gamma));
     }
-    if !cfg.rho.is_finite() || !(0.0..1.0).contains(&cfg.rho) {
-        return bad(format!("rho must be in [0, 1) (got {})", cfg.rho));
-    }
-    if cfg.lb_every == 0 {
-        return bad("lb_every must be >= 1".to_string());
-    }
     if cfg.max_passes == 0 {
         return bad("max_passes must be >= 1".to_string());
     }
@@ -383,14 +377,6 @@ mod tests {
             },
             EpfConfig {
                 gamma: -1.0,
-                ..Default::default()
-            },
-            EpfConfig {
-                rho: 1.0,
-                ..Default::default()
-            },
-            EpfConfig {
-                lb_every: 0,
                 ..Default::default()
             },
             EpfConfig {

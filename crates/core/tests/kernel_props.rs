@@ -11,9 +11,6 @@
 //! 3. the batched penalty-arena gather path, whose incremental updates
 //!    must be history-independent and land bitwise on a `Scalar`
 //!    from-scratch rebuild whatever backend maintained them.
-//!
-//! With `--features simd` the nightly `std::simd` backend joins the
-//! comparison through [`Kernel::all`].
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 use proptest::prelude::*;
 use std::sync::OnceLock;

@@ -2,11 +2,12 @@
 //!
 //! The workspace cannot depend on `serde`/`serde_json` (the build
 //! environment is fully offline), and its serialization needs are
-//! small: write experiment payloads under `results/` and round-trip
-//! [`Network`]-style structs. This crate provides a [`Value`] tree, a
-//! strict recursive-descent parser, a deterministic pretty printer, and
-//! a [`ToJson`] conversion trait for the payload shapes the bench
-//! binaries produce.
+//! small: write experiment payloads under `results/` and persist the
+//! service's durable state. This crate provides a [`Value`] tree, a
+//! strict recursive-descent parser, a deterministic pretty printer, a
+//! one-way [`ToJson`] conversion trait for the payload shapes the bench
+//! binaries produce, and the bit-exact, two-way
+//! [`snapshot::Durable`] codec for crash-safe state.
 //!
 //! Determinism notes:
 //! - objects are ordered `Vec<(String, Value)>`, so key order is

@@ -28,6 +28,7 @@
 
 use crate::{JsonError, Value};
 use std::fmt;
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
@@ -369,68 +370,385 @@ pub fn read_snapshot(path: &Path, kind: &str, version: u32) -> Result<Vec<u8>, S
     decode(&bytes, kind, version)
 }
 
-/// Write a [`Value`] payload as a checksummed snapshot.
-pub fn write_json_snapshot(
-    path: &Path,
-    kind: &str,
-    version: u32,
-    value: &Value,
-) -> Result<(), SnapshotError> {
-    write_snapshot_atomic(path, kind, version, value.to_string_pretty().as_bytes())
-}
-
-/// Read a snapshot whose payload is a JSON document.
-pub fn read_json_snapshot(path: &Path, kind: &str, version: u32) -> Result<Value, SnapshotError> {
-    let payload = read_snapshot(path, kind, version)?;
-    let text = String::from_utf8(payload).map_err(|_| SnapshotError::Malformed {
-        what: "payload is not UTF-8".to_string(),
-    })?;
-    Value::parse(&text).map_err(|e: JsonError| SnapshotError::Malformed {
-        what: format!("payload is not valid JSON: {e}"),
-    })
-}
-
 // ---------------------------------------------------------------------------
-// Bit-exact numeric encoding.
-//
-// JSON `Value` carries every number as `f64` and prints non-finite
-// values as `null`, so neither `u64` counters above 2^53 nor exact
-// float bit patterns survive a plain `Num` round trip. Checkpoints —
-// whose whole point is byte-identical resume — therefore encode f64s
-// and u64s as fixed-width hex strings of their bit patterns.
+// The durable codec: one encoding per type, chosen once. `u64` and
+// `f64` are 16-digit hex bit patterns (a JSON number loses counters
+// above 2^53 and non-finite floats, and checkpoints must resume
+// bit-exactly); `usize`, `u32` and `u16` are range-checked numbers;
+// `Option` is `null` or the value, `Vec` an array, a 2-tuple a
+// two-element array; structs and `"kind"`-tagged enums are objects
+// ([`durable_struct!`], [`durable_enum!`]). Types that convert to and
+// from one of these, like the id newtypes of `vod-model`, are encoded
+// as it through the [`As`] codec, since this dependency-free crate
+// cannot implement [`Durable`] for them. Not an inverse of
+// [`crate::ToJson`], which prints `u64`/`f64` as plain numbers.
 // ---------------------------------------------------------------------------
 
-/// Encode an `f64` losslessly as its IEEE-754 bit pattern in hex.
-#[must_use]
-pub fn f64_bits_value(x: f64) -> Value {
-    Value::Str(format!("{:016x}", x.to_bits()))
+/// A decode failure: what was wrong, and where (a dotted field path
+/// from the payload root, array positions as numbers, e.g.
+/// `records.2.sim.max_gbps`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DecodeError {
+    pub path: String,
+    pub what: String,
 }
 
-/// Encode a `u64` losslessly as hex.
-#[must_use]
-pub fn u64_bits_value(x: u64) -> Value {
+impl DecodeError {
+    /// An error at the current position (the path is filled in as the
+    /// error propagates outwards).
+    pub fn new(what: impl Into<String>) -> Self {
+        Self {
+            path: String::new(),
+            what: what.into(),
+        }
+    }
+
+    /// The same error one level further out, below `segment`.
+    #[must_use]
+    pub fn at(mut self, segment: &str) -> Self {
+        self.path = if self.path.is_empty() {
+            segment.to_string()
+        } else {
+            format!("{segment}.{}", self.path)
+        };
+        self
+    }
+}
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.path.is_empty() {
+            f.write_str(&self.what)
+        } else {
+            write!(f, "{}: {}", self.path, self.what)
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+impl From<DecodeError> for SnapshotError {
+    fn from(e: DecodeError) -> Self {
+        SnapshotError::Malformed {
+            what: e.to_string(),
+        }
+    }
+}
+
+/// A type with a durable JSON form. `decode` is total: any input that
+/// `encode` could not have produced is a typed [`DecodeError`], never
+/// a panic, so a torn or bit-rotted file degrades into a recovery path.
+pub trait Durable: Sized {
+    fn encode(&self) -> Value;
+    fn decode(v: &Value) -> Result<Self, DecodeError>;
+}
+
+/// An encoding of `T` chosen by the field that holds it, for types
+/// that cannot implement [`Durable`] here (see the module notes).
+/// Codecs compose: `Seq<Pair<As<u16>, Own>>` encodes a
+/// `Vec<(VhoId, f64)>` as an array of `[index, bits]` pairs.
+pub trait Codec<T> {
+    fn encode(x: &T) -> Value;
+    fn decode(v: &Value) -> Result<T, DecodeError>;
+}
+
+/// `T`'s own [`Durable`] encoding.
+#[derive(Debug)]
+pub struct Own;
+
+/// `T` converted to and from `R` and encoded as `R`.
+#[derive(Debug)]
+pub struct As<R>(PhantomData<R>);
+
+/// A `Vec` as an array of `C`-encoded elements.
+#[derive(Debug)]
+pub struct Seq<C>(PhantomData<C>);
+
+/// A 2-tuple as a two-element array, halves encoded with `A` and `B`.
+#[derive(Debug)]
+pub struct Pair<A, B>(PhantomData<(A, B)>);
+
+/// An `Option` as `null` or the `C`-encoded value.
+#[derive(Debug)]
+pub struct Opt<C>(PhantomData<C>);
+
+impl<T: Durable> Codec<T> for Own {
+    fn encode(x: &T) -> Value {
+        x.encode()
+    }
+    fn decode(v: &Value) -> Result<T, DecodeError> {
+        T::decode(v)
+    }
+}
+
+impl<T: Copy + From<R>, R: Durable + From<T>> Codec<T> for As<R> {
+    fn encode(x: &T) -> Value {
+        R::from(*x).encode()
+    }
+    fn decode(v: &Value) -> Result<T, DecodeError> {
+        R::decode(v).map(T::from)
+    }
+}
+
+impl<T, C: Codec<T>> Codec<Vec<T>> for Seq<C> {
+    fn encode(xs: &Vec<T>) -> Value {
+        Value::Arr(xs.iter().map(C::encode).collect())
+    }
+    fn decode(v: &Value) -> Result<Vec<T>, DecodeError> {
+        v.as_arr()
+            .ok_or_else(|| DecodeError::new("expected an array"))?
+            .iter()
+            .enumerate()
+            .map(|(i, x)| C::decode(x).map_err(|e| e.at(&i.to_string())))
+            .collect()
+    }
+}
+
+impl<T, U, A: Codec<T>, B: Codec<U>> Codec<(T, U)> for Pair<A, B> {
+    fn encode((a, b): &(T, U)) -> Value {
+        Value::Arr(vec![A::encode(a), B::encode(b)])
+    }
+    fn decode(v: &Value) -> Result<(T, U), DecodeError> {
+        match v.as_arr() {
+            Some([a, b]) => Ok((
+                A::decode(a).map_err(|e| e.at("0"))?,
+                B::decode(b).map_err(|e| e.at("1"))?,
+            )),
+            _ => Err(DecodeError::new("expected a two-element array")),
+        }
+    }
+}
+
+impl<T, C: Codec<T>> Codec<Option<T>> for Opt<C> {
+    fn encode(x: &Option<T>) -> Value {
+        x.as_ref().map_or(Value::Null, C::encode)
+    }
+    fn decode(v: &Value) -> Result<Option<T>, DecodeError> {
+        match v {
+            Value::Null => Ok(None),
+            other => C::decode(other).map(Some),
+        }
+    }
+}
+
+/// Decode the object field `key` of `v`.
+pub fn field<T: Durable>(v: &Value, key: &str) -> Result<T, DecodeError> {
+    field_with(v, key, T::decode)
+}
+
+/// Decode the object field `key` of `v` with `decode`.
+pub fn field_with<T>(
+    v: &Value,
+    key: &str,
+    decode: fn(&Value) -> Result<T, DecodeError>,
+) -> Result<T, DecodeError> {
+    match v {
+        Value::Obj(_) => match v.get(key) {
+            Some(x) => decode(x).map_err(|e| e.at(key)),
+            None => Err(DecodeError::new("missing").at(key)),
+        },
+        _ => Err(DecodeError::new("expected an object")),
+    }
+}
+
+fn hex(x: u64) -> Value {
     Value::Str(format!("{x:016x}"))
 }
 
-fn hex_u64(v: &Value, what: &str) -> Result<u64, SnapshotError> {
-    let malformed = || SnapshotError::Malformed {
-        what: format!("{what}: expected a 16-digit hex string"),
-    };
+fn unhex(v: &Value) -> Result<u64, DecodeError> {
+    let malformed = || DecodeError::new("expected a 16-digit hex string");
     let s = v.as_str().ok_or_else(malformed)?;
-    if s.len() != 16 {
+    // `from_str_radix` alone would also take a leading `+`.
+    if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
         return Err(malformed());
     }
     u64::from_str_radix(s, 16).map_err(|_| malformed())
 }
 
-/// Decode an [`f64_bits_value`]-encoded float.
-pub fn f64_from_bits_value(v: &Value, what: &str) -> Result<f64, SnapshotError> {
-    hex_u64(v, what).map(f64::from_bits)
+impl Durable for u64 {
+    fn encode(&self) -> Value {
+        hex(*self)
+    }
+    fn decode(v: &Value) -> Result<Self, DecodeError> {
+        unhex(v)
+    }
 }
 
-/// Decode a [`u64_bits_value`]-encoded integer.
-pub fn u64_from_bits_value(v: &Value, what: &str) -> Result<u64, SnapshotError> {
-    hex_u64(v, what)
+impl Durable for f64 {
+    fn encode(&self) -> Value {
+        hex(self.to_bits())
+    }
+    fn decode(v: &Value) -> Result<Self, DecodeError> {
+        unhex(v).map(f64::from_bits)
+    }
+}
+
+/// JSON numbers, range-checked against the type on decode.
+macro_rules! durable_number {
+    ($($t:ty),+) => {$(
+        impl Durable for $t {
+            fn encode(&self) -> Value {
+                Value::Num(*self as f64)
+            }
+            fn decode(v: &Value) -> Result<Self, DecodeError> {
+                v.as_usize()
+                    .and_then(|n| <$t>::try_from(n).ok())
+                    .ok_or_else(|| DecodeError::new(concat!("expected a ", stringify!($t))))
+            }
+        }
+    )+};
+}
+
+durable_number!(usize, u32, u16);
+
+impl Durable for bool {
+    fn encode(&self) -> Value {
+        Value::Bool(*self)
+    }
+    fn decode(v: &Value) -> Result<Self, DecodeError> {
+        v.as_bool()
+            .ok_or_else(|| DecodeError::new("expected a bool"))
+    }
+}
+
+impl Durable for String {
+    fn encode(&self) -> Value {
+        Value::Str(self.clone())
+    }
+    fn decode(v: &Value) -> Result<Self, DecodeError> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| DecodeError::new("expected a string"))
+    }
+}
+
+impl<T: Durable> Durable for Option<T> {
+    fn encode(&self) -> Value {
+        Opt::<Own>::encode(self)
+    }
+    fn decode(v: &Value) -> Result<Self, DecodeError> {
+        Opt::<Own>::decode(v)
+    }
+}
+
+impl<T: Durable> Durable for Vec<T> {
+    fn encode(&self) -> Value {
+        Seq::<Own>::encode(self)
+    }
+    fn decode(v: &Value) -> Result<Self, DecodeError> {
+        Seq::<Own>::decode(v)
+    }
+}
+
+impl<A: Durable, B: Durable> Durable for (A, B) {
+    fn encode(&self) -> Value {
+        Pair::<Own, Own>::encode(self)
+    }
+    fn decode(v: &Value) -> Result<Self, DecodeError> {
+        Pair::<Own, Own>::decode(v)
+    }
+}
+
+/// Implement [`Durable`] for a plain struct from one field list: it
+/// encodes as an object with the fields in list order, keyed by field
+/// name, and decodes every listed field (a missing or mistyped one is a
+/// [`DecodeError`] naming it). The list must name every field. A field
+/// written `name via C` is encoded with the [`Codec`] `C` instead of its
+/// type's own [`Durable`] impl.
+#[macro_export]
+macro_rules! durable_struct {
+    ($ty:ty { $($field:ident $(via $via:ty)?),+ $(,)? }) => {
+        impl $crate::snapshot::Durable for $ty {
+            fn encode(&self) -> $crate::Value {
+                $crate::Value::Obj(vec![$((
+                    stringify!($field).to_string(),
+                    <$crate::durable_struct!(@codec $($via)?) as $crate::snapshot::Codec<_>>::encode(
+                        &self.$field,
+                    ),
+                )),+])
+            }
+            fn decode(v: &$crate::Value) -> Result<Self, $crate::snapshot::DecodeError> {
+                Ok(Self {
+                    $($field: $crate::snapshot::field_with(
+                        v,
+                        stringify!($field),
+                        <$crate::durable_struct!(@codec $($via)?) as $crate::snapshot::Codec<_>>::decode,
+                    )?,)+
+                })
+            }
+        }
+    };
+    (@codec) => { $crate::snapshot::Own };
+    (@codec $via:ty) => { $via };
+}
+
+/// Implement [`Durable`] for an enum of struct-like variants: each
+/// variant encodes as an object whose `"kind"` tag comes first,
+/// followed by the variant's fields in list order (`via` as in
+/// [`durable_struct!`]).
+#[macro_export]
+macro_rules! durable_enum {
+    ($ty:ty {
+        $($tag:literal => $variant:ident { $($field:ident $(via $via:ty)?),* $(,)? }),+ $(,)?
+    }) => {
+        impl $crate::snapshot::Durable for $ty {
+            fn encode(&self) -> $crate::Value {
+                match self {
+                    $(Self::$variant { $($field),* } => $crate::Value::Obj(vec![
+                        ("kind".to_string(), $crate::Value::Str($tag.to_string())),
+                        $((
+                            stringify!($field).to_string(),
+                            <$crate::durable_struct!(@codec $($via)?) as $crate::snapshot::Codec<_>>::encode(
+                                $field,
+                            ),
+                        ),)*
+                    ]),)+
+                }
+            }
+            fn decode(v: &$crate::Value) -> Result<Self, $crate::snapshot::DecodeError> {
+                let kind: String = $crate::snapshot::field(v, "kind")?;
+                match kind.as_str() {
+                    $($tag => Ok(Self::$variant {
+                        $($field: $crate::snapshot::field_with(
+                            v,
+                            stringify!($field),
+                            <$crate::durable_struct!(@codec $($via)?) as $crate::snapshot::Codec<_>>::decode,
+                        )?,)*
+                    }),)+
+                    other => Err($crate::snapshot::DecodeError::new(format!("unknown kind {other:?}"))
+                        .at("kind")),
+                }
+            }
+        }
+    };
+}
+
+/// Write a [`Durable`] value as a checksummed snapshot whose payload is
+/// its pretty-printed JSON.
+pub fn write_durable<T: Durable>(
+    path: &Path,
+    kind: &str,
+    version: u32,
+    x: &T,
+) -> Result<(), SnapshotError> {
+    write_snapshot_atomic(
+        path,
+        kind,
+        version,
+        x.encode().to_string_pretty().as_bytes(),
+    )
+}
+
+/// Read a snapshot written by [`write_durable`]. A payload that is not
+/// UTF-8 JSON or does not decode is [`SnapshotError::Malformed`].
+pub fn read_durable<T: Durable>(path: &Path, kind: &str, version: u32) -> Result<T, SnapshotError> {
+    let malformed = |what: String| SnapshotError::Malformed { what };
+    let payload = read_snapshot(path, kind, version)?;
+    let text =
+        String::from_utf8(payload).map_err(|_| malformed("payload is not UTF-8".to_string()))?;
+    let doc = Value::parse(&text)
+        .map_err(|e: JsonError| malformed(format!("payload is not valid JSON: {e}")))?;
+    Ok(T::decode(&doc)?)
 }
 
 #[cfg(test)]
@@ -520,18 +838,21 @@ mod tests {
     }
 
     #[test]
-    fn json_payload_round_trips() {
+    fn durable_payload_round_trips() {
         let path = tmp_dir().join("doc.snap");
-        let doc = Value::Obj(vec![
-            ("a".to_string(), f64_bits_value(std::f64::consts::PI)),
-            ("b".to_string(), u64_bits_value(u64::MAX - 1)),
-        ]);
-        write_json_snapshot(&path, "doc", 1, &doc).unwrap();
-        let back = read_json_snapshot(&path, "doc", 1).unwrap();
-        let a = f64_from_bits_value(back.get("a").unwrap(), "a").unwrap();
-        let b = u64_from_bits_value(back.get("b").unwrap(), "b").unwrap();
+        let doc = (std::f64::consts::PI, u64::MAX - 1);
+        write_durable(&path, "doc", 1, &doc).unwrap();
+        let (a, b): (f64, u64) = read_durable(&path, "doc", 1).unwrap();
         assert_eq!(a.to_bits(), std::f64::consts::PI.to_bits());
         assert_eq!(b, u64::MAX - 1);
+        write_snapshot_atomic(&path, "doc", 1, b"[1, 2]").unwrap();
+        let err = read_durable::<(f64, u64)>(&path, "doc", 1).unwrap_err();
+        assert!(
+            err.to_string().contains("0: expected a 16-digit hex"),
+            "{err}"
+        );
+        write_snapshot_atomic(&path, "doc", 1, &[0xFF]).unwrap();
+        assert!(read_durable::<(f64, u64)>(&path, "doc", 1).is_err());
     }
 
     #[test]
@@ -544,8 +865,7 @@ mod tests {
             f64::NEG_INFINITY,
             1e-308,
         ] {
-            let v = f64_bits_value(x);
-            let back = f64_from_bits_value(&v, "x").unwrap();
+            let back = f64::decode(&x.encode()).unwrap();
             assert_eq!(back.to_bits(), x.to_bits());
         }
     }
@@ -555,12 +875,138 @@ mod tests {
         for v in [
             Value::Str("zz".to_string()),
             Value::Str("0123".to_string()),
+            Value::Str("+123456789abcdef".to_string()),
             Value::Num(1.0),
             Value::Null,
         ] {
-            assert!(f64_from_bits_value(&v, "x").is_err());
-            assert!(u64_from_bits_value(&v, "x").is_err());
+            assert!(f64::decode(&v).is_err());
+            assert!(u64::decode(&v).is_err());
         }
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Inner {
+        n: u32,
+        tag: Option<String>,
+    }
+    durable_struct!(Inner { n, tag });
+
+    /// An index newtype, as the id types of `vod-model` are.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Ix(u16);
+    impl From<u16> for Ix {
+        fn from(raw: u16) -> Self {
+            Self(raw)
+        }
+    }
+    impl From<Ix> for u16 {
+        fn from(ix: Ix) -> Self {
+            ix.0
+        }
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Outer {
+        id: u64,
+        pairs: Vec<(Ix, f64)>,
+        inner: Vec<Inner>,
+        flag: bool,
+    }
+    durable_struct!(Outer {
+        id,
+        pairs via Seq<Pair<As<u16>, Own>>,
+        inner,
+        flag,
+    });
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum Shape {
+        Dot { at: Option<Ix> },
+        Span { from: u64, to: Option<u64> },
+    }
+    durable_enum!(Shape {
+        "dot" => Dot { at via Opt<As<u16>> },
+        "span" => Span { from, to },
+    });
+
+    fn outer() -> Outer {
+        Outer {
+            id: u64::MAX,
+            pairs: vec![(Ix(3), 0.5), (Ix(u16::MAX), -0.0)],
+            inner: vec![
+                Inner { n: 7, tag: None },
+                Inner {
+                    n: u32::MAX,
+                    tag: Some("x".to_string()),
+                },
+            ],
+            flag: true,
+        }
+    }
+
+    #[test]
+    fn macros_round_trip_in_field_list_order() {
+        let o = outer();
+        let v = o.encode();
+        let keys: Vec<&str> = match &v {
+            Value::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            _ => Vec::new(),
+        };
+        assert_eq!(keys, ["id", "pairs", "inner", "flag"]);
+        assert_eq!(Outer::decode(&v).unwrap(), o);
+        assert_eq!(
+            v.get("pairs").and_then(Value::as_arr).map(<[Value]>::len),
+            Some(2)
+        );
+        for s in [
+            Shape::Dot { at: Some(Ix(4)) },
+            Shape::Dot { at: None },
+            Shape::Span {
+                from: 1 << 60,
+                to: None,
+            },
+        ] {
+            let v = s.encode();
+            let first_key = match &v {
+                Value::Obj(fields) => fields.first().map(|(k, _)| k.as_str()),
+                _ => None,
+            };
+            assert_eq!(first_key, Some("kind"));
+            assert_eq!(Shape::decode(&v).unwrap(), s);
+        }
+    }
+
+    #[test]
+    fn decode_errors_carry_the_field_path() {
+        let mut v = outer().encode();
+        if let Value::Obj(fields) = &mut v {
+            if let Some((_, Value::Arr(items))) = fields.iter_mut().find(|(k, _)| k == "inner") {
+                items[1] = Value::Obj(vec![("n".to_string(), Value::Num(-1.0))]);
+            }
+        }
+        let err = Outer::decode(&v).unwrap_err();
+        assert_eq!(err.path, "inner.1.n");
+        assert_eq!(err.to_string(), "inner.1.n: expected a u32");
+        let bad_pair = Value::Arr(vec![Value::Num(1.0)]);
+        assert!(<(usize, f64)>::decode(&bad_pair).is_err());
+        let wide = Value::Arr(vec![Value::Num(65536.0), 0.5.encode()]);
+        assert_eq!(
+            <Pair<As<u16>, Own> as Codec<(Ix, f64)>>::decode(&wide)
+                .unwrap_err()
+                .to_string(),
+            "0: expected a u16"
+        );
+        let unknown = Value::Obj(vec![("kind".to_string(), Value::Str("cube".into()))]);
+        assert_eq!(
+            Shape::decode(&unknown).unwrap_err().to_string(),
+            "kind: unknown kind \"cube\""
+        );
+        assert_eq!(
+            u32::decode(&Value::Num(f64::from(u32::MAX) + 1.0))
+                .unwrap_err()
+                .what,
+            "expected a u32"
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use vod_json::snapshot::{self, SnapshotError};
+use vod_json::snapshot::{self, Durable, SnapshotError};
 use vod_json::Value;
 
 /// Encode a snapshot via the public file API (temp file round trip).
@@ -92,8 +92,8 @@ proptest! {
         mutations in prop::collection::vec((0usize..4096, 1u8..=255), 1..3),
     ) {
         let doc = Value::Obj(vec![
-            ("n".to_string(), snapshot::u64_bits_value(n)),
-            ("x".to_string(), snapshot::f64_bits_value(n as f64 / 7.0)),
+            ("n".to_string(), n.encode()),
+            ("x".to_string(), (n as f64 / 7.0).encode()),
         ]);
         let mut bytes = doc.to_string_pretty().into_bytes();
         for &(pos, x) in &mutations {
@@ -105,12 +105,8 @@ proptest! {
         // fails typed or round-trips. No path may panic.
         if let Ok(text) = std::str::from_utf8(&bytes) {
             if let Ok(v) = Value::parse(text) {
-                if let Some(field) = v.get("n") {
-                    let _ = snapshot::u64_from_bits_value(field, "n");
-                }
-                if let Some(field) = v.get("x") {
-                    let _ = snapshot::f64_from_bits_value(field, "x");
-                }
+                let _ = snapshot::field::<u64>(&v, "n");
+                let _ = snapshot::field::<f64>(&v, "x");
             }
         }
     }

@@ -49,6 +49,12 @@ macro_rules! id_newtype {
                 Self(raw)
             }
         }
+
+        impl From<$name> for $inner {
+            fn from(id: $name) -> Self {
+                id.0
+            }
+        }
     };
 }
 
@@ -118,6 +124,13 @@ mod tests {
         let vhos: Vec<_> = all_vhos(3).collect();
         assert_eq!(vhos, vec![VhoId::new(0), VhoId::new(1), VhoId::new(2)]);
         assert_eq!(all_videos(5).count(), 5);
+    }
+
+    #[test]
+    fn raw_conversions_round_trip() {
+        assert_eq!(u16::from(VhoId::new(u16::MAX)), u16::MAX);
+        assert_eq!(VideoId::from(u32::from(VideoId::new(7))), VideoId::new(7));
+        assert_eq!(u32::from(LinkId::new(12)), 12);
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //! [`Placement::from_parts`] enforces.
 
 use vod_core::Placement;
-use vod_json::Value;
+use vod_json::durable_struct;
+use vod_json::snapshot::As;
 use vod_model::VideoId;
 
 /// One postponed migration: `video` still needs `copies` transfers to
@@ -39,31 +40,11 @@ pub struct DeferredMigration {
     pub since_cycle: usize,
 }
 
-impl DeferredMigration {
-    pub(crate) fn to_value(self) -> Value {
-        Value::Obj(vec![
-            ("video".into(), Value::Num(self.video.index() as f64)),
-            ("copies".into(), Value::Num(self.copies as f64)),
-            ("since_cycle".into(), Value::Num(self.since_cycle as f64)),
-        ])
-    }
-
-    pub(crate) fn from_value(v: &Value) -> Result<Self, String> {
-        let u = |key: &str| -> Result<usize, String> {
-            v.get(key)
-                .and_then(Value::as_usize)
-                .ok_or_else(|| format!("deferred.{key}: expected an int"))
-        };
-        let m = u("video")?;
-        let raw =
-            u32::try_from(m).map_err(|_| format!("deferred.video: index {m} overflows u32"))?;
-        Ok(Self {
-            video: VideoId::new(raw),
-            copies: u("copies")?,
-            since_cycle: u("since_cycle")?,
-        })
-    }
-}
+durable_struct!(DeferredMigration {
+    video via As<u32>,
+    copies,
+    since_cycle,
+});
 
 /// Result of applying the churn cap to one cycle's target placement.
 #[derive(Debug, Clone)]
@@ -206,6 +187,8 @@ pub fn apply_churn_cap(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vod_json::snapshot::Durable;
+    use vod_json::Value;
     use vod_model::VhoId;
 
     /// Tiny hand-built placements over `n` videos and 4 VHOs; video m
@@ -445,7 +428,7 @@ mod tests {
             copies: 3,
             since_cycle: 11,
         };
-        assert_eq!(DeferredMigration::from_value(&d.to_value()).unwrap(), d);
-        assert!(DeferredMigration::from_value(&Value::Null).is_err());
+        assert_eq!(DeferredMigration::decode(&d.encode()).unwrap(), d);
+        assert!(DeferredMigration::decode(&Value::Null).is_err());
     }
 }

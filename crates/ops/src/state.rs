@@ -12,12 +12,9 @@
 //! wrong answer.
 
 use std::fmt;
-use vod_core::checkpoint::placement_to_value;
 use vod_core::Placement;
-use vod_json::snapshot::{
-    f64_bits_value, f64_from_bits_value, fnv1a64, u64_bits_value, u64_from_bits_value,
-};
-use vod_json::Value;
+use vod_json::snapshot::{fnv1a64, DecodeError, Durable};
+use vod_json::{durable_enum, durable_struct, Value};
 
 /// Snapshot-container kind tag for the persisted fractional solution
 /// (the solve→round stage boundary).
@@ -59,10 +56,18 @@ impl StageId {
             StageId::Simulate => "simulate",
         }
     }
+}
 
-    #[must_use]
-    pub fn from_name(s: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|st| st.name() == s)
+/// Durable form: the stage name.
+impl Durable for StageId {
+    fn encode(&self) -> Value {
+        Value::Str(self.name().into())
+    }
+    fn decode(v: &Value) -> Result<Self, DecodeError> {
+        Self::ALL
+            .into_iter()
+            .find(|st| v.as_str() == Some(st.name()))
+            .ok_or_else(|| DecodeError::new("unknown stage name"))
     }
 }
 
@@ -126,129 +131,12 @@ impl fmt::Display for DegradeReason {
     }
 }
 
-/// Serialize a degradation reason (service state codec).
-pub(crate) fn reason_to_value(r: &DegradeReason) -> Value {
-    match r {
-        DegradeReason::StageFailed {
-            stage,
-            attempts,
-            last_error,
-        } => Value::Obj(vec![
-            ("kind".into(), Value::Str("stage-failed".into())),
-            ("stage".into(), Value::Str(stage.name().into())),
-            ("attempts".into(), Value::Num(f64::from(*attempts))),
-            ("last_error".into(), Value::Str(last_error.clone())),
-        ]),
-        DegradeReason::ValidationFailed { what } => Value::Obj(vec![
-            ("kind".into(), Value::Str("validation-failed".into())),
-            ("what".into(), Value::Str(what.clone())),
-        ]),
-        DegradeReason::Stalled {
-            stage,
-            ticks,
-            budget,
-        } => Value::Obj(vec![
-            ("kind".into(), Value::Str("stalled".into())),
-            ("stage".into(), Value::Str(stage.name().into())),
-            ("ticks".into(), u64_bits_value(*ticks)),
-            ("budget".into(), u64_bits_value(*budget)),
-        ]),
-        DegradeReason::SnapshotUnavailable { failures, what } => Value::Obj(vec![
-            ("kind".into(), Value::Str("snapshot-unavailable".into())),
-            ("failures".into(), u64_bits_value(*failures)),
-            ("what".into(), Value::Str(what.clone())),
-        ]),
-    }
-}
-
-/// Decode a degradation reason; unknown kinds are typed errors.
-pub(crate) fn reason_from_value(x: &Value) -> Result<DegradeReason, String> {
-    let kind = x
-        .get("kind")
-        .and_then(Value::as_str)
-        .ok_or("degraded.kind: expected a string")?;
-    let stage_of = || {
-        x.get("stage")
-            .and_then(Value::as_str)
-            .and_then(StageId::from_name)
-            .ok_or("degraded.stage: unknown stage")
-    };
-    match kind {
-        "stage-failed" => Ok(DegradeReason::StageFailed {
-            stage: stage_of()?,
-            attempts: x
-                .get("attempts")
-                .and_then(Value::as_usize)
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or("degraded.attempts: expected a u32")?,
-            last_error: x
-                .get("last_error")
-                .and_then(Value::as_str)
-                .ok_or("degraded.last_error: expected a string")?
-                .to_string(),
-        }),
-        "validation-failed" => Ok(DegradeReason::ValidationFailed {
-            what: x
-                .get("what")
-                .and_then(Value::as_str)
-                .ok_or("degraded.what: expected a string")?
-                .to_string(),
-        }),
-        "stalled" => Ok(DegradeReason::Stalled {
-            stage: stage_of()?,
-            ticks: u64_from_bits_value(x.get("ticks").ok_or("degraded.ticks: missing")?, "ticks")
-                .map_err(|e| e.to_string())?,
-            budget: u64_from_bits_value(
-                x.get("budget").ok_or("degraded.budget: missing")?,
-                "budget",
-            )
-            .map_err(|e| e.to_string())?,
-        }),
-        "snapshot-unavailable" => Ok(DegradeReason::SnapshotUnavailable {
-            failures: u64_from_bits_value(
-                x.get("failures").ok_or("degraded.failures: missing")?,
-                "failures",
-            )
-            .map_err(|e| e.to_string())?,
-            what: x
-                .get("what")
-                .and_then(Value::as_str)
-                .ok_or("degraded.what: expected a string")?
-                .to_string(),
-        }),
-        other => Err(format!("degraded.kind: unknown kind {other:?}")),
-    }
-}
-
-/// Serialize a cycle's simulation summary (shared codec).
-pub(crate) fn sim_to_value(s: &SimSummary) -> Value {
-    Value::Obj(vec![
-        ("max_gbps".into(), f64_bits_value(s.max_gbps)),
-        ("local_frac".into(), f64_bits_value(s.local_frac)),
-        ("total_requests".into(), u64_bits_value(s.total_requests)),
-    ])
-}
-
-/// Decode a simulation summary (shared codec).
-pub(crate) fn sim_from_value(x: &Value, what: &str) -> Result<SimSummary, String> {
-    let f = |key: &str| -> Result<f64, String> {
-        f64_from_bits_value(
-            x.get(key).ok_or_else(|| format!("{what}.{key}: missing"))?,
-            key,
-        )
-        .map_err(|e| e.to_string())
-    };
-    Ok(SimSummary {
-        max_gbps: f("max_gbps")?,
-        local_frac: f("local_frac")?,
-        total_requests: u64_from_bits_value(
-            x.get("total_requests")
-                .ok_or_else(|| format!("{what}.total_requests: missing"))?,
-            "total_requests",
-        )
-        .map_err(|e| e.to_string())?,
-    })
-}
+durable_enum!(DegradeReason {
+    "stage-failed" => StageFailed { stage, attempts, last_error },
+    "validation-failed" => ValidationFailed { what },
+    "stalled" => Stalled { stage, ticks, budget },
+    "snapshot-unavailable" => SnapshotUnavailable { failures, what },
+});
 
 /// Why the service refused to start. Once running, cycle trouble
 /// degrades and storage trouble is served from memory: neither is an
@@ -283,11 +171,17 @@ pub struct SimSummary {
     pub total_requests: u64,
 }
 
+durable_struct!(SimSummary {
+    max_gbps,
+    local_frac,
+    total_requests,
+});
+
 /// Canonical placement fingerprint: FNV-64 of the placement's canonical
 /// serialization (what the kill/resume identity drills compare).
 #[must_use]
 pub fn placement_fingerprint(p: &Placement) -> u64 {
-    fnv1a64(placement_to_value(p).to_string_pretty().as_bytes())
+    fnv1a64(p.encode().to_string_pretty().as_bytes())
 }
 
 #[cfg(test)]
@@ -315,15 +209,15 @@ mod tests {
                 what: "persist service state: snapshot io error".into(),
             },
         ] {
-            assert_eq!(reason_from_value(&reason_to_value(&r)).unwrap(), r);
+            assert_eq!(DegradeReason::decode(&r.encode()).unwrap(), r);
         }
     }
 
     #[test]
     fn stage_names_round_trip() {
         for s in StageId::ALL {
-            assert_eq!(StageId::from_name(s.name()), Some(s));
+            assert_eq!(StageId::decode(&s.encode()), Ok(s));
         }
-        assert_eq!(StageId::from_name("bogus"), None);
+        assert!(StageId::decode(&Value::Str("bogus".into())).is_err());
     }
 }

@@ -10,6 +10,8 @@
 //! other `thread::sleep`/timer read as a finding.
 
 use crate::state::StageId;
+use vod_json::snapshot::{DecodeError, Durable};
+use vod_json::Value;
 use vod_model::rng::derive_seed;
 
 /// Recorded exponential backoff with deterministic seeded jitter: a
@@ -72,10 +74,18 @@ impl RecoveryAction {
             RecoveryAction::StaleServe => "stale-serve",
         }
     }
+}
 
-    #[must_use]
-    pub fn from_name(s: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|a| a.name() == s)
+/// Durable form: the action name.
+impl Durable for RecoveryAction {
+    fn encode(&self) -> Value {
+        Value::Str(self.name().into())
+    }
+    fn decode(v: &Value) -> Result<Self, DecodeError> {
+        Self::ALL
+            .into_iter()
+            .find(|a| v.as_str() == Some(a.name()))
+            .ok_or_else(|| DecodeError::new("unknown recovery action"))
     }
 }
 
@@ -190,8 +200,8 @@ mod tests {
     #[test]
     fn recovery_action_names_round_trip() {
         for a in RecoveryAction::ALL {
-            assert_eq!(RecoveryAction::from_name(a.name()), Some(a));
+            assert_eq!(RecoveryAction::decode(&a.encode()), Ok(a));
         }
-        assert_eq!(RecoveryAction::from_name("bogus"), None);
+        assert!(RecoveryAction::decode(&Value::Str("bogus".into())).is_err());
     }
 }

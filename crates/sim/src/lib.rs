@@ -47,4 +47,4 @@ pub use faults::{FaultConfigError, FaultEvent, FaultKind, FaultSchedule};
 pub use setups::{
     mip_vho_configs, origin_vho_configs, random_single_vho_configs, top_k_vho_configs,
 };
-pub use snapshot::{read_schedule, schedule_from_value, schedule_to_value, write_schedule};
+pub use snapshot::{read_schedule, write_schedule};

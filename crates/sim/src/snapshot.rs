@@ -10,158 +10,63 @@
 //! bit-rotted schedule must degrade into "run without faults", not
 //! take the service down.
 //!
-//! Times are encoded bit-exactly as hex `u64`s (a `SimTime` may exceed
-//! the 53-bit exact range of a JSON number) and `capacity_scale` as
-//! its IEEE-754 bit pattern, so the decoded schedule drives the
-//! simulator through byte-identical trajectories.
+//! The encoding is [`Durable`]'s by-type convention: times and
+//! `capacity_scale` as hex bit patterns, ids as range-checked numbers,
+//! so the decoded schedule drives the simulator through byte-identical
+//! trajectories.
 
 use crate::faults::{FaultEvent, FaultKind, FaultSchedule};
 use std::path::Path;
 use vod_json::snapshot::{
-    f64_bits_value, f64_from_bits_value, read_json_snapshot, u64_bits_value, u64_from_bits_value,
-    write_json_snapshot, SnapshotError,
+    field, read_durable, write_durable, As, DecodeError, Durable, Opt, SnapshotError,
 };
-use vod_json::Value;
-use vod_model::{LinkId, SimTime, VhoId};
+use vod_json::{durable_enum, durable_struct, Value};
+use vod_model::SimTime;
 
 /// Snapshot container tag for persisted fault schedules.
 pub const FAULTS_KIND: &str = "fault-schedule";
 pub const FAULTS_VERSION: u32 = 1;
 
-/// Serialize a schedule to a JSON value (the snapshot payload).
-#[must_use]
-pub fn schedule_to_value(s: &FaultSchedule) -> Value {
-    let events = s
-        .events
-        .iter()
-        .map(|ev| {
-            let mut fields = vec![
-                ("start".to_string(), u64_bits_value(ev.start.0)),
-                ("end".to_string(), u64_bits_value(ev.end.0)),
-            ];
-            match ev.kind {
-                FaultKind::VhoOutage { vho } => {
-                    fields.push(("kind".to_string(), Value::Str("vho-outage".into())));
-                    fields.push(("vho".to_string(), Value::Num(vho.index() as f64)));
-                }
-                FaultKind::LinkDegrade {
-                    link,
-                    capacity_scale,
-                } => {
-                    fields.push(("kind".to_string(), Value::Str("link-degrade".into())));
-                    fields.push(("link".to_string(), Value::Num(link.index() as f64)));
-                    fields.push(("capacity_scale".to_string(), f64_bits_value(capacity_scale)));
-                }
-                FaultKind::FlashCrowd { vho, multiplier } => {
-                    fields.push(("kind".to_string(), Value::Str("flash-crowd".into())));
-                    fields.push((
-                        "vho".to_string(),
-                        match vho {
-                            Some(v) => Value::Num(v.index() as f64),
-                            None => Value::Null,
-                        },
-                    ));
-                    fields.push(("multiplier".to_string(), Value::Num(f64::from(multiplier))));
-                }
-            }
-            Value::Obj(fields)
-        })
-        .collect();
-    Value::Obj(vec![
-        ("admission".to_string(), Value::Bool(s.admission)),
-        ("events".to_string(), Value::Arr(events)),
-    ])
-}
+durable_struct!(FaultSchedule { admission, events });
 
-fn vho_of(v: &Value, what: &str) -> Result<VhoId, String> {
-    let idx = v
-        .as_usize()
-        .ok_or_else(|| format!("{what}: expected a VHO index"))?;
-    let raw = u16::try_from(idx).map_err(|_| format!("{what}: VHO index {idx} overflows u16"))?;
-    // lint:allow(raw-index): decoding a persisted id back into its newtype
-    Ok(VhoId::new(raw))
-}
+durable_enum!(FaultKind {
+    "vho-outage" => VhoOutage { vho via As<u16> },
+    "link-degrade" => LinkDegrade { link via As<u32>, capacity_scale },
+    "flash-crowd" => FlashCrowd { vho via Opt<As<u16>>, multiplier },
+});
 
-/// Decode a schedule from its JSON value. Total: every malformed shape
-/// is an `Err(String)`, decoding never panics. Range validity against
-/// a concrete world is *not* checked here — run
-/// [`FaultSchedule::validate`] before injecting.
-pub fn schedule_from_value(v: &Value) -> Result<FaultSchedule, String> {
-    let admission = v
-        .get("admission")
-        .and_then(Value::as_bool)
-        .ok_or("missing/invalid admission flag")?;
-    let raw_events = v
-        .get("events")
-        .and_then(Value::as_arr)
-        .ok_or("missing events array")?;
-    let mut events = Vec::with_capacity(raw_events.len());
-    for (i, ev) in raw_events.iter().enumerate() {
-        let time = |key: &str| -> Result<SimTime, String> {
-            let field = ev.get(key).ok_or_else(|| format!("event {i}: no {key}"))?;
-            u64_from_bits_value(field, key)
-                .map(SimTime::new)
-                .map_err(|e| format!("event {i}: {e}"))
-        };
-        let start = time("start")?;
-        let end = time("end")?;
-        let kind_tag = ev
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("event {i}: missing kind tag"))?;
-        let kind = match kind_tag {
-            "vho-outage" => FaultKind::VhoOutage {
-                vho: vho_of(
-                    ev.get("vho").unwrap_or(&Value::Null),
-                    &format!("event {i} vho"),
-                )?,
-            },
-            "link-degrade" => {
-                let idx = ev
-                    .get("link")
-                    .and_then(Value::as_usize)
-                    .ok_or_else(|| format!("event {i}: missing link index"))?;
-                let raw = u32::try_from(idx)
-                    .map_err(|_| format!("event {i}: link index {idx} overflows u32"))?;
-                let scale = ev
-                    .get("capacity_scale")
-                    .ok_or_else(|| format!("event {i}: missing capacity_scale"))
-                    .and_then(|f| {
-                        f64_from_bits_value(f, "capacity_scale")
-                            .map_err(|e| format!("event {i}: {e}"))
-                    })?;
-                FaultKind::LinkDegrade {
-                    link: LinkId::new(raw),
-                    capacity_scale: scale,
-                }
-            }
-            "flash-crowd" => {
-                let vho = match ev.get("vho") {
-                    None | Some(Value::Null) => None,
-                    Some(val) => Some(vho_of(val, &format!("event {i} vho"))?),
-                };
-                let multiplier = ev
-                    .get("multiplier")
-                    .and_then(Value::as_usize)
-                    .and_then(|m| u32::try_from(m).ok())
-                    .ok_or_else(|| format!("event {i}: missing/invalid multiplier"))?;
-                FaultKind::FlashCrowd { vho, multiplier }
-            }
-            other => return Err(format!("event {i}: unknown kind {other:?}")),
-        };
-        events.push(FaultEvent { start, end, kind });
+/// An event is one flat object: its window (`SimTime` seconds as `u64`
+/// bits), then its kind's tagged fields (`start`, `end`, `kind`, ...).
+impl Durable for FaultEvent {
+    fn encode(&self) -> Value {
+        let mut fields = vec![
+            ("start".to_string(), self.start.0.encode()),
+            ("end".to_string(), self.end.0.encode()),
+        ];
+        if let Value::Obj(kind) = self.kind.encode() {
+            fields.extend(kind);
+        }
+        Value::Obj(fields)
     }
-    Ok(FaultSchedule { events, admission })
+
+    fn decode(v: &Value) -> Result<Self, DecodeError> {
+        Ok(Self {
+            start: SimTime(field(v, "start")?),
+            end: SimTime(field(v, "end")?),
+            kind: FaultKind::decode(v)?,
+        })
+    }
 }
 
 /// Persist a schedule as a checksummed snapshot (atomic write).
 pub fn write_schedule(path: &Path, s: &FaultSchedule) -> Result<(), SnapshotError> {
-    write_json_snapshot(path, FAULTS_KIND, FAULTS_VERSION, &schedule_to_value(s))
+    write_durable(path, FAULTS_KIND, FAULTS_VERSION, s)
 }
 
 /// Load a schedule persisted by [`write_schedule`]. Corruption at any
-/// layer — container, JSON, codec — is a typed [`SnapshotError`].
+/// layer — container, JSON, codec — is a typed [`SnapshotError`]. Range
+/// validity against a concrete world is *not* checked here — run
+/// [`FaultSchedule::validate`] before injecting.
 pub fn read_schedule(path: &Path) -> Result<FaultSchedule, SnapshotError> {
-    let doc = read_json_snapshot(path, FAULTS_KIND, FAULTS_VERSION)?;
-    schedule_from_value(&doc).map_err(|what| SnapshotError::Malformed { what })
+    read_durable(path, FAULTS_KIND, FAULTS_VERSION)
 }

@@ -6,12 +6,10 @@
 //! through, never a crash.
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 use proptest::prelude::*;
+use vod_json::snapshot::Durable;
 use vod_json::Value;
 use vod_model::{LinkId, SimTime, VhoId};
-use vod_sim::{
-    read_schedule, schedule_from_value, schedule_to_value, write_schedule, FaultEvent, FaultKind,
-    FaultSchedule,
-};
+use vod_sim::{read_schedule, write_schedule, FaultEvent, FaultKind, FaultSchedule};
 
 const N_VHOS: u16 = 5;
 const N_LINKS: u32 = 9;
@@ -60,8 +58,8 @@ proptest! {
         admission in any::<bool>(),
     ) {
         let schedule = schedule_of(&picks, admission);
-        let text = schedule_to_value(&schedule).to_string_pretty();
-        let back = schedule_from_value(&Value::parse(&text).unwrap()).unwrap();
+        let text = schedule.encode().to_string_pretty();
+        let back = FaultSchedule::decode(&Value::parse(&text).unwrap()).unwrap();
         prop_assert_eq!(back, schedule);
     }
 
@@ -78,12 +76,12 @@ proptest! {
         bit in 0u8..8,
     ) {
         let schedule = schedule_of(&picks, admission);
-        let mut bytes = schedule_to_value(&schedule).to_string_pretty().into_bytes();
+        let mut bytes = schedule.encode().to_string_pretty().into_bytes();
         let i = (at % bytes.len() as u64) as usize;
         bytes[i] ^= 1 << bit;
         if let Ok(text) = String::from_utf8(bytes) {
             if let Ok(doc) = Value::parse(&text) {
-                let _ = schedule_from_value(&doc);
+                let _ = FaultSchedule::decode(&doc);
             }
         }
     }
@@ -123,8 +121,8 @@ fn every_byte_corruption_of_the_container_is_typed() {
 #[test]
 fn empty_schedule_round_trips() {
     let s = FaultSchedule::empty();
-    let doc = Value::parse(&schedule_to_value(&s).to_string_pretty()).unwrap();
-    assert_eq!(schedule_from_value(&doc).unwrap(), s);
+    let doc = Value::parse(&s.encode().to_string_pretty()).unwrap();
+    assert_eq!(FaultSchedule::decode(&doc).unwrap(), s);
 }
 
 #[test]
@@ -139,6 +137,6 @@ fn shape_errors_are_typed() {
         "{\"admission\": true, \"events\": [{\"start\": \"0000000000000000\", \"end\": \"0000000000000001\", \"kind\": \"nope\"}]}",
     ] {
         let doc = Value::parse(text).unwrap();
-        assert!(schedule_from_value(&doc).is_err(), "{text}");
+        assert!(FaultSchedule::decode(&doc).is_err(), "{text}");
     }
 }
