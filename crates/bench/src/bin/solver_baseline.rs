@@ -1,5 +1,5 @@
 //! Tracked solver performance baseline — emits `BENCH_solver.json`
-//! (schema `BENCH_solver/v3`).
+//! (schema `BENCH_solver/v4`).
 //!
 //! Runs the Table III EPF instance ladder (same generator as
 //! `table03_scalability`, decomposition solver only) plus the
@@ -7,11 +7,9 @@
 //! Three row modes:
 //!
 //! - **perf** — the PR trajectory numbers: min-of-`REPEATS` (≥ 3)
-//!   wall time per kernel backend, per-repeat walls recorded, plus
-//!   the speedup over the `scalar` reference. Backends promise
-//!   bitwise-identical results ([`vod_core::kernel`]) and this binary
-//!   *asserts* it, along with dense-vs-sparse penalty-arena identity
-//!   ([`vod_core::penalty::PenaltyLayout`]) on every perf row.
+//!   wall time, per-repeat walls recorded, with objective, lower
+//!   bound, pass and block-step counts to diff bitwise across
+//!   changes.
 //! - **quality** — one adaptive-budget solve per Table III instance
 //!   (`gap_limit`, polish + exact certification) reporting the
 //!   certified gap and convergence flag.
@@ -25,9 +23,8 @@
 //! plus the 10⁶ stretch row).
 use std::time::Instant;
 use vod_bench::{fmt, save_results, Scale, Table};
-use vod_core::penalty::PenaltyLayout;
 use vod_core::{
-    solve_fractional, DiskConfig, EpfConfig, EpfStats, FractionalSolution, Kernel, MipInstance,
+    solve_fractional, DiskConfig, EpfConfig, EpfStats, FractionalSolution, MipInstance,
 };
 use vod_json::{obj, ToJson, Value};
 use vod_trace::{synthesize_library, synthetic_demand, LibraryConfig, TraceConfig};
@@ -51,51 +48,13 @@ fn instance(n_videos: usize, net: &vod_net::Network, seed: u64) -> MipInstance {
     )
 }
 
-/// Backends requested by `--kernel NAME` (repeatable; `all` = every
-/// backend compiled into this binary). Default: scalar + chunked.
-fn kernels_from_args() -> Vec<Kernel> {
-    let mut out: Vec<Kernel> = Vec::new();
-    let mut expect_name = false;
-    for arg in std::env::args() {
-        if expect_name {
-            expect_name = false;
-            if arg == "all" {
-                for &k in Kernel::all() {
-                    if !out.contains(&k) {
-                        out.push(k);
-                    }
-                }
-                continue;
-            }
-            let Some(k) = Kernel::from_name(&arg) else {
-                eprintln!("unknown --kernel {arg:?} (scalar|chunked|all)");
-                std::process::exit(2);
-            };
-            if !out.contains(&k) {
-                out.push(k);
-            }
-            continue;
-        }
-        if arg == "--kernel" {
-            expect_name = true;
-        }
-    }
-    if out.is_empty() {
-        out = vec![Kernel::Scalar, Kernel::Chunked];
-    }
-    out
-}
-
 struct Row {
     label: String,
     mode: &'static str,
-    kernel: &'static str,
-    layout: &'static str,
     n_videos: usize,
     n_vhos: usize,
     wall_s: f64,
     walls_s: Vec<f64>,
-    speedup_vs_scalar: Option<f64>,
     passes: usize,
     block_steps: u64,
     approx_mb: f64,
@@ -110,8 +69,6 @@ impl ToJson for Row {
         obj(vec![
             ("label", self.label.to_value()),
             ("mode", self.mode.to_value()),
-            ("kernel", self.kernel.to_value()),
-            ("layout", self.layout.to_value()),
             ("n_videos", self.n_videos.to_value()),
             ("n_vhos", self.n_vhos.to_value()),
             ("wall_s", self.wall_s.to_value()),
@@ -122,10 +79,6 @@ impl ToJson for Row {
                     .map(|w| w.to_value())
                     .collect::<Vec<_>>()
                     .to_value(),
-            ),
-            (
-                "speedup_vs_scalar",
-                self.speedup_vs_scalar.map_or(Value::Null, |s| s.to_value()),
             ),
             ("passes", self.passes.to_value()),
             ("block_steps", self.block_steps.to_value()),
@@ -146,8 +99,8 @@ fn gap_of(frac: &FractionalSolution) -> f64 {
     }
 }
 
-/// Solution identity key: the bitwise contract every backend, arena
-/// layout and thread count must agree on.
+/// Solution identity key: the bitwise contract every thread count
+/// must agree on.
 fn identity_key(frac: &FractionalSolution, stats: &EpfStats) -> (u64, u64, usize, u64) {
     (
         frac.objective.to_bits(),
@@ -157,28 +110,21 @@ fn identity_key(frac: &FractionalSolution, stats: &EpfStats) -> (u64, u64, usize
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn row_from(
     label: &str,
     mode: &'static str,
-    kernel: Kernel,
-    layout: PenaltyLayout,
     inst: &MipInstance,
     frac: &FractionalSolution,
     stats: &EpfStats,
     walls_s: Vec<f64>,
-    speedup: Option<f64>,
 ) -> Row {
     Row {
         label: label.to_string(),
         mode,
-        kernel: kernel.name(),
-        layout: layout.name(),
         n_videos: inst.n_videos(),
         n_vhos: inst.n_vhos(),
         wall_s: walls_s.iter().cloned().fold(f64::INFINITY, f64::min),
         walls_s,
-        speedup_vs_scalar: speedup,
         passes: stats.passes,
         block_steps: stats.block_steps,
         approx_mb: stats.approx_bytes as f64 / 1e6,
@@ -191,7 +137,6 @@ fn row_from(
 
 fn main() {
     let scale = Scale::from_args();
-    let kernels = kernels_from_args();
     // The EPF rows of Table III: library size × Rocketfuel-like net.
     // The smallest row of each scale doubles as the CI smoke instance.
     let ladder: Vec<(usize, vod_net::Network, &str)> = match scale {
@@ -229,9 +174,7 @@ fn main() {
         &[
             "instance",
             "mode",
-            "kernel",
             "wall (s)",
-            "vs scalar",
             "passes",
             "approx MB",
             "gap",
@@ -243,10 +186,7 @@ fn main() {
         table.row(vec![
             r.label.clone(),
             r.mode.to_string(),
-            r.kernel.to_string(),
             fmt(r.wall_s),
-            r.speedup_vs_scalar
-                .map_or_else(|| "-".to_string(), |s| format!("{s:.2}x")),
             r.passes.to_string(),
             fmt(r.approx_mb),
             if r.gap.is_finite() {
@@ -263,71 +203,24 @@ fn main() {
     for (n, net, net_name) in &ladder {
         let inst = instance(*n, net, 3);
         let label = format!("{n}/{net_name}");
-        let perf_cfg = EpfConfig {
+        let cfg = EpfConfig {
             max_passes: 60,
             seed: 3,
             ..Default::default()
         };
-        let mut scalar_key: Option<(f64, (u64, u64, usize, u64))> = None;
-        for &kernel in &kernels {
-            let cfg = EpfConfig {
-                kernel,
-                ..perf_cfg.clone()
-            };
-            let mut walls = Vec::with_capacity(REPEATS);
-            let mut out = None;
-            for _ in 0..REPEATS {
-                let t0 = Instant::now();
-                let (frac, stats) = solve_fractional(&inst, &cfg);
-                walls.push(t0.elapsed().as_secs_f64());
-                out = Some((frac, stats));
-            }
-            let (frac, stats) = out.expect("REPEATS >= 1");
-            let key = identity_key(&frac, &stats);
-            let best = walls.iter().cloned().fold(f64::INFINITY, f64::min);
-            let speedup = match (kernel, &scalar_key) {
-                (Kernel::Scalar, _) => {
-                    scalar_key = Some((best, key));
-                    None
-                }
-                (_, Some(s)) => {
-                    // The backends' bitwise-identity contract, asserted
-                    // on every ladder row (this is what CI smoke runs).
-                    assert_eq!(
-                        s.1,
-                        key,
-                        "kernel {} diverged from scalar on {label}: \
-                         objective/lower_bound/passes/block_steps must be bitwise equal",
-                        kernel.name(),
-                    );
-                    Some(s.0 / best)
-                }
-                (_, None) => None,
-            };
-            push(
-                &mut table,
-                row_from(
-                    &label, "perf", kernel, cfg.layout, &inst, &frac, &stats, walls, speedup,
-                ),
-            );
+        let mut walls = Vec::with_capacity(REPEATS);
+        let mut out = None;
+        for _ in 0..REPEATS {
+            let t0 = Instant::now();
+            let solved = solve_fractional(&inst, &cfg);
+            walls.push(t0.elapsed().as_secs_f64());
+            out = Some(solved);
         }
-        // Dense-arena identity: the sparse penalty arena (the default
-        // layout above) must reproduce the historical dense objectives
-        // bit for bit.
-        {
-            let cfg = EpfConfig {
-                layout: PenaltyLayout::Dense,
-                ..perf_cfg.clone()
-            };
-            let (frac, stats) = solve_fractional(&inst, &cfg);
-            if let Some((_, key)) = &scalar_key {
-                assert_eq!(
-                    *key,
-                    identity_key(&frac, &stats),
-                    "dense arena diverged from sparse on {label}: layouts must be bitwise equal",
-                );
-            }
-        }
+        let (frac, stats) = out.expect("REPEATS >= 1");
+        push(
+            &mut table,
+            row_from(&label, "perf", &inst, &frac, &stats, walls),
+        );
         // Quality row: adaptive budget with certification. Exact
         // per-block LPs only below ~3k blocks, where they are cheaper
         // than the passes they certify.
@@ -346,17 +239,7 @@ fn main() {
             let wall = t0.elapsed().as_secs_f64();
             push(
                 &mut table,
-                row_from(
-                    &label,
-                    "quality",
-                    cfg.kernel,
-                    cfg.layout,
-                    &inst,
-                    &frac,
-                    &stats,
-                    vec![wall],
-                    None,
-                ),
+                row_from(&label, "quality", &inst, &frac, &stats, vec![wall]),
             );
         }
     }
@@ -400,34 +283,16 @@ fn main() {
         );
         push(
             &mut table,
-            row_from(
-                &label,
-                "scale",
-                cfg.kernel,
-                cfg.layout,
-                &inst,
-                &frac,
-                &stats,
-                vec![wall],
-                None,
-            ),
+            row_from(&label, "scale", &inst, &frac, &stats, vec![wall]),
         );
     }
 
     table.print();
     let payload = obj(vec![
-        ("schema", "BENCH_solver/v3".to_value()),
+        ("schema", "BENCH_solver/v4".to_value()),
         ("scale", format!("{scale:?}").to_value()),
         ("threads", threads.to_value()),
         ("repeats", REPEATS.to_value()),
-        (
-            "kernels",
-            kernels
-                .iter()
-                .map(|k| k.name().to_value())
-                .collect::<Vec<_>>()
-                .to_value(),
-        ),
         ("rows", rows.to_value()),
     ]);
     save_results("BENCH_solver", &payload);

@@ -417,8 +417,7 @@ mod tests {
         let (inst, frac, gamma) = solved();
         let report = check_fractional(&inst, &frac, frac.max_violation + INT_TOL);
         assert!(report.is_ok(), "clean solve flagged:\n{report}");
-        let (placement, stats) =
-            round_solution(&inst, &frac, gamma, crate::kernel::Kernel::Chunked);
+        let (placement, stats) = round_solution(&inst, &frac, gamma, crate::kernel::Kernel);
         let report = check_placement(&inst, &placement, stats.max_violation + INT_TOL);
         assert!(report.is_ok(), "clean placement flagged:\n{report}");
     }
@@ -476,7 +475,7 @@ mod tests {
     #[test]
     fn lost_copy_is_flagged() {
         let (inst, frac, gamma) = solved();
-        let (placement, _) = round_solution(&inst, &frac, gamma, crate::kernel::Kernel::Chunked);
+        let (placement, _) = round_solution(&inst, &frac, gamma, crate::kernel::Kernel);
         let mut stores = placement.holder_lists();
         stores[0].clear();
         let broken = Placement::from_stores(inst.n_vhos(), stores);

@@ -27,14 +27,15 @@
 //! architecture").
 //!
 //! Both solvers are backed by the lane kernels of [`crate::kernel`]:
-//! the `_with_kernel` entry points accept a [`Kernel`] and, for the
-//! lane backends, replace the facility-major strided scans with
-//! client-row streaming passes (per-element addition order unchanged,
-//! so the trajectory is bitwise-identical to the scalar reference —
-//! pinned by `tests/kernel_props.rs`). The kernel-less entry points
-//! run [`Kernel::Scalar`], i.e. the original loops verbatim.
+//! client-row streaming passes, screens and caches replace the
+//! facility-major scans of the *textbook loops* (plain scalar
+//! add/drop/swap search and dual ascent), with every applied move and
+//! every per-element addition order unchanged, so each solve is
+//! bitwise-identical to those loops. The textbook loops survive
+//! verbatim as test oracles (`tests/oracle/mod.rs`), and
+//! `tests/kernel_props.rs` pins the identity.
 
-use crate::kernel::{self, Kernel};
+use crate::kernel;
 
 /// A (small) UFL instance: `n` candidate facilities (the VHOs), a
 /// nonnegative opening cost per facility, and for every client a dense
@@ -46,10 +47,11 @@ pub struct UflProblem {
     /// `service[c·n + i]` = cost of serving client `c` from facility
     /// `i`. Private so the row-major layout stays an implementation
     /// detail; build via [`UflProblem::from_rows`]/[`UflProblem::from_flat`]
-    /// or rebuild in place through [`UflProblem::reset`]/[`UflProblem::push_service`].
+    /// or rebuild in place through [`UflProblem::reset`] and
+    /// [`UflProblem::push_service_row_zeroed`].
     service: Vec<f64>,
     n_clients: usize,
-    /// Lane-only fused precompute ([`UflProblem::precompute_lane_aux`]):
+    /// Fused seeding precompute ([`UflProblem::precompute_lane_aux`]):
     /// per-facility service column sums and per-client row minima,
     /// shared by the dual-ascent and local-search seeds when both run
     /// on the same build. Empty (= absent) unless the owning worker
@@ -120,7 +122,8 @@ const TOL: f64 = 1e-12;
 impl UflProblem {
     /// Build from per-client service rows (convenience for tests,
     /// benches and property harnesses; the hot path uses
-    /// [`UflProblem::reset`] + [`UflProblem::push_service`] instead).
+    /// [`UflProblem::reset`] + [`UflProblem::push_service_row_zeroed`]
+    /// instead).
     // lint:allow(vec-vec-f64): boundary constructor that immediately
     // flattens the nested rows into the row-major buffer
     pub fn from_rows(facility_cost: Vec<f64>, rows: Vec<Vec<f64>>) -> Self {
@@ -170,12 +173,8 @@ impl UflProblem {
     /// exact values, in the exact per-element addend order, that the
     /// standalone lane passes inside the two solvers would produce.
     /// Workers call this once per build when *both* solvers will run
-    /// on the same problem, halving the seeding traffic. No-op for the
-    /// scalar reference backend, which recomputes facility-major.
-    pub(crate) fn precompute_lane_aux(&mut self, kernel: Kernel) {
-        if matches!(kernel, Kernel::Scalar) {
-            return;
-        }
+    /// on the same problem, halving the seeding traffic.
+    pub(crate) fn precompute_lane_aux(&mut self) {
         let n = self.n_facilities();
         self.col_sums.clear();
         self.col_sums.resize(n, 0.0);
@@ -186,23 +185,9 @@ impl UflProblem {
             .iter_mut()
             .zip(self.service.chunks_exact(n.max(1)))
         {
-            kernel::accum(kernel, &mut self.col_sums, row);
-            *slot = kernel::row_min(kernel, row);
+            kernel::accum(&mut self.col_sums, row);
+            *slot = kernel::row_min(row);
         }
-    }
-
-    /// Append one client's service row (row-major). The row length is
-    /// checked once per client in [`UflProblem::finish_client`]-free
-    /// style: callers push exactly `n_facilities` values then call this.
-    pub fn push_service_row(&mut self, row: impl IntoIterator<Item = f64>) {
-        let before = self.service.len();
-        self.service.extend(row);
-        debug_assert_eq!(
-            self.service.len() - before,
-            self.n_facilities(),
-            "service row width must match facilities"
-        );
-        self.n_clients += 1;
     }
 
     /// Append one zero-filled client row and return it for in-place
@@ -267,7 +252,7 @@ impl UflProblem {
     /// clients — the MIP's constraints (3)+(4) imply `Σ_i y_i^m ≥ 1`
     /// (each video must be stored somewhere).
     pub fn solve_local_search(&self) -> UflSolution {
-        self.local_search(true, &mut UflScratch::default(), Kernel::Scalar)
+        self.local_search(true, &mut UflScratch::default())
     }
 
     /// Add/drop-only local search: O(|V|·|C|) per round instead of the
@@ -276,45 +261,20 @@ impl UflProblem {
     /// thousands of times per video, while the rounding pass (which
     /// commits integer decisions) uses the full search.
     pub fn solve_local_search_fast(&self) -> UflSolution {
-        self.local_search(false, &mut UflScratch::default(), Kernel::Scalar)
+        self.local_search(false, &mut UflScratch::default())
     }
 
     /// [`UflProblem::solve_local_search`] with caller-owned scratch.
     pub fn solve_local_search_with(&self, scratch: &mut UflScratch) -> UflSolution {
-        self.local_search(true, scratch, Kernel::Scalar)
+        self.local_search(true, scratch)
     }
 
     /// [`UflProblem::solve_local_search_fast`] with caller-owned scratch.
     pub fn solve_local_search_fast_with(&self, scratch: &mut UflScratch) -> UflSolution {
-        self.local_search(false, scratch, Kernel::Scalar)
+        self.local_search(false, scratch)
     }
 
-    /// [`UflProblem::solve_local_search_with`] on an explicit kernel
-    /// backend (bitwise-identical result whatever the backend).
-    pub fn solve_local_search_with_kernel(
-        &self,
-        scratch: &mut UflScratch,
-        kernel: Kernel,
-    ) -> UflSolution {
-        self.local_search(true, scratch, kernel)
-    }
-
-    /// [`UflProblem::solve_local_search_fast_with`] on an explicit
-    /// kernel backend (bitwise-identical result whatever the backend).
-    pub fn solve_local_search_fast_with_kernel(
-        &self,
-        scratch: &mut UflScratch,
-        kernel: Kernel,
-    ) -> UflSolution {
-        self.local_search(false, scratch, kernel)
-    }
-
-    fn local_search(
-        &self,
-        with_swaps: bool,
-        scratch: &mut UflScratch,
-        kernel: Kernel,
-    ) -> UflSolution {
+    fn local_search(&self, with_swaps: bool, scratch: &mut UflScratch) -> UflSolution {
         self.assert_valid();
         let n = self.n_facilities();
         let n_clients = self.n_clients();
@@ -335,41 +295,27 @@ impl UflProblem {
         } = scratch;
 
         // Start: the single facility minimizing open + total service.
-        // Scalar: the reference facility-major scan. Lane backends:
-        // stream client rows into per-facility column sums — element
-        // `i` receives the same addends in the same client order, so
-        // the totals (and the strict-< argmin) are bitwise-identical.
+        // Client rows stream into per-facility column sums — element
+        // `i` receives the same addends in the same client order as a
+        // facility-major scan, so the totals (and the strict-< argmin)
+        // are bitwise the textbook ones.
         let mut best_single = 0;
         let mut best_single_cost = f64::MAX;
-        match kernel {
-            Kernel::Scalar => {
-                for i in 0..n {
-                    let c: f64 =
-                        self.facility_cost[i] + self.service_rows().map(|row| row[i]).sum::<f64>();
-                    if c < best_single_cost {
-                        best_single_cost = c;
-                        best_single = i;
-                    }
-                }
+        let cols: &[f64] = if self.col_sums.len() == n {
+            &self.col_sums
+        } else {
+            facc.clear();
+            facc.resize(n, 0.0);
+            for row in self.service_rows() {
+                kernel::accum(facc, row);
             }
-            _ => {
-                let cols: &[f64] = if self.col_sums.len() == n {
-                    &self.col_sums
-                } else {
-                    facc.clear();
-                    facc.resize(n, 0.0);
-                    for row in self.service_rows() {
-                        kernel::accum(kernel, facc, row);
-                    }
-                    facc
-                };
-                for (i, &col) in cols.iter().enumerate() {
-                    let c = self.facility_cost[i] + col;
-                    if c < best_single_cost {
-                        best_single_cost = c;
-                        best_single = i;
-                    }
-                }
+            facc
+        };
+        for (i, &col) in cols.iter().enumerate() {
+            let c = self.facility_cost[i] + col;
+            if c < best_single_cost {
+                best_single_cost = c;
+                best_single = i;
             }
         }
         open.clear();
@@ -380,64 +326,57 @@ impl UflProblem {
 
         // Local search: first-improvement add / drop / swap moves.
         let max_rounds = 4 * n + 16;
-        let lane = !matches!(kernel, Kernel::Scalar);
-        // Lane backends keep a per-client (best, second-best) view of
-        // the open set alive across the whole call: seeded from the
-        // singleton start, extended in O(C) per applied ADD, and
-        // repaired per applied DROP by rescanning only the clients
-        // whose best or second-best was the dropped facility. Index
-        // ties may resolve differently than a fresh ascending scan,
-        // but the *values* — all the DROP screen consumes — are the
-        // exact set minima either way.
-        let mut drop_cache_valid = false;
-        if lane {
-            cbest.clear();
-            cbest.resize(n_clients, 0.0);
-            for (slot, row) in cbest.iter_mut().zip(self.service_rows()) {
-                *slot = row[best_single];
-            }
-            cidx.clear();
-            cidx.resize(n_clients, best_single);
-            calt.clear();
-            calt.resize(n_clients, f64::INFINITY);
-            cb2i.clear();
-            cb2i.resize(n_clients, usize::MAX);
-            drop_cache_valid = true;
+        // A per-client (best, second-best) view of the open set stays
+        // alive across the whole call: seeded from the singleton start,
+        // extended in O(C) per applied ADD, and repaired per applied
+        // DROP by rescanning only the clients whose best or second-best
+        // was the dropped facility. Index ties may resolve differently
+        // than a fresh ascending scan, but the *values* — all the DROP
+        // screen consumes — are the exact set minima either way.
+        cbest.clear();
+        cbest.resize(n_clients, 0.0);
+        for (slot, row) in cbest.iter_mut().zip(self.service_rows()) {
+            *slot = row[best_single];
         }
+        cidx.clear();
+        cidx.resize(n_clients, best_single);
+        calt.clear();
+        calt.resize(n_clients, f64::INFINITY);
+        cb2i.clear();
+        cb2i.resize(n_clients, usize::MAX);
+        let mut drop_cache_valid = true;
         let mut add_screen_valid = false;
         // Fresh-screen exactness: right after the streaming precompute,
-        // `facc[k] − f_k` is *bitwise* the reference gain (same addends
+        // `facc[k] − f_k` is *bitwise* the textbook gain (same addends
         // in the same client order), so survivors may apply without the
         // exact re-evaluation — until the first state change staples
         // the screen back to an upper bound.
         let mut add_screen_exact = false;
         // Clean-phase skips: a phase's move sequence is a pure function
-        // of (costs, open, assign), and the lane arms are pinned
-        // bitwise to the scalar reference. So if the last evaluation of
-        // a phase applied nothing and no other phase has changed state
-        // since, re-evaluating it must again apply nothing — the lane
-        // backends skip it outright.
+        // of (costs, open, assign). So if the last evaluation of a
+        // phase applied nothing and no other phase has changed state
+        // since, re-evaluating it must again apply nothing — skip it
+        // outright.
         let mut add_clean = false;
         let mut drop_clean = false;
         for _round in 0..max_rounds {
             let mut improved = false;
 
-            // ADD moves: open k, reassign clients that benefit. Lane
-            // backends pre-screen with one streaming pass: `facc[k]`
-            // is the gain computed against the assignment *frozen at
-            // screen-build time*, which upper-bounds the live gain —
-            // applied ADDs only move clients to cheaper rows, every
-            // screen term dominates its live term, and f64 addition is
-            // monotone, so `facc[k] − f_k ≤ TOL` proves the scalar
-            // loop would skip `k` too. The screen therefore stays
-            // valid across rounds until a DROP or SWAP raises some
-            // client's cost (which invalidates it below); survivors
-            // are re-evaluated with the exact reference expression, so
-            // the move sequence is bitwise-identical to the scalar
-            // backend's.
+            // ADD moves: open k, reassign clients that benefit. One
+            // streaming pass pre-screens: `facc[k]` is the gain
+            // computed against the assignment *frozen at screen-build
+            // time*, which upper-bounds the live gain — applied ADDs
+            // only move clients to cheaper rows, every screen term
+            // dominates its live term, and f64 addition is monotone, so
+            // `facc[k] − f_k ≤ TOL` proves the textbook loop would skip
+            // `k` too. The screen therefore stays valid across rounds
+            // until a DROP or SWAP raises some client's cost (which
+            // invalidates it below); survivors are re-evaluated with
+            // the exact textbook expression, so the move sequence is
+            // bitwise the textbook one.
             let mut added = false;
-            if !(lane && add_clean) {
-                if lane && !add_screen_valid {
+            if !add_clean {
+                if !add_screen_valid {
                     cacc.clear();
                     cacc.resize(n_clients, 0.0);
                     for (slot, (row, &a)) in cacc.iter_mut().zip(self.service_rows().zip(&*assign))
@@ -447,7 +386,7 @@ impl UflProblem {
                     facc.clear();
                     facc.resize(n, 0.0);
                     for (row, &cur) in self.service_rows().zip(&*cacc) {
-                        kernel::accum_relu_sub(kernel, facc, cur, row);
+                        kernel::accum_relu_sub(facc, cur, row);
                     }
                     add_screen_valid = true;
                     add_screen_exact = true;
@@ -456,41 +395,39 @@ impl UflProblem {
                     if open[k] {
                         continue;
                     }
-                    if lane && facc[k] - self.facility_cost[k] <= TOL {
+                    if facc[k] - self.facility_cost[k] <= TOL {
                         continue;
                     }
-                    if !(lane && add_screen_exact) {
+                    if !add_screen_exact {
                         let fl: f64 = self
                             .service_rows()
                             .zip(assign.iter())
                             .map(|(row, &cur)| (row[cur] - row[k]).max(0.0))
                             .sum::<f64>();
-                        if lane {
-                            // Memoize the exact re-sum: client costs
-                            // only decrease as facilities open, so the
-                            // live value stays a sound upper bound for
-                            // every later screen of k, far tighter
-                            // than the phase-start snapshot.
-                            facc[k] = fl;
-                        }
+                        // Memoize the exact re-sum: client costs only
+                        // decrease as facilities open, so the live
+                        // value stays a sound upper bound for every
+                        // later screen of k, far tighter than the
+                        // phase-start snapshot.
+                        facc[k] = fl;
                         let gain = fl - self.facility_cost[k];
                         if gain <= TOL {
                             continue;
                         }
                     }
                     open[k] = true;
-                    if lane && drop_cache_valid {
-                        // Same reassignments as the reference loop
-                        // below, fused with the O(C) top-2 insert so
+                    if drop_cache_valid {
+                        // Same reassignments as the plain loop below,
+                        // fused with the O(C) top-2 insert so
                         // `row[k]` is gathered once (all-zip iteration:
                         // no per-client bounds checks). The insert is a
                         // lexicographic (value, index) top-2 update:
-                        // the reference breaks value ties by keeping
+                        // the textbook loop breaks value ties by keeping
                         // the *earliest* facility in its ascending
                         // first-minimum scan, so the cached indices
                         // must do the same for the DROP direct-apply
                         // below to reroute onto the exact facility the
-                        // reference would pick. (Service values are
+                        // textbook loop picks. (Service values are
                         // finite, nonnegative sums — never NaN or
                         // -0.0 — so `total_cmp` agrees with `<`.)
                         let cache = cbest
@@ -542,244 +479,187 @@ impl UflProblem {
                     add_screen_exact = false;
                 }
             }
-            if lane {
-                add_clean = !added;
-                if added {
-                    drop_clean = false;
-                }
+            add_clean = !added;
+            if added {
+                drop_clean = false;
             }
 
             // DROP moves: close k if rerouting its clients to their
             // best other open facility saves the opening cost.
             let mut dropped = false;
             let open_count = open.iter().filter(|&&o| o).count();
-            if open_count > 1 {
-                match kernel {
-                    Kernel::Scalar => {
-                        for k in 0..n {
-                            if !open[k] {
-                                continue;
+            if open_count > 1 && !drop_clean {
+                // The per-facility reroute sums in `v` are not a screen
+                // but the *exact* textbook penalties. For each k, the
+                // textbook loop accumulates (alt − row[k]) over clients
+                // assigned to k in ascending client order, where alt is
+                // the first-minimum of the live open list excluding k.
+                // The `v` build below streams clients in that same
+                // ascending order, each contributing to exactly its own
+                // v[assign[c]] — identical addends in an identical
+                // order, starting from 0.0 — and the top-2 cache
+                // supplies the identical alt value (second-best when k
+                // holds the client's minimum, best otherwise; on value
+                // ties the cache stores the earliest index, matching
+                // the textbook scan, so the rerouted-onto facility is
+                // also the exact one it picks). Passing `f_k − v[k] >
+                // TOL` therefore IS the textbook apply decision:
+                // candidates apply directly with no re-evaluation, and
+                // after each apply the cache is repaired and `v`
+                // rebuilt from the live state so the remaining
+                // candidates stay exact. A clean DROP phase (unchanged
+                // inputs since the last no-op evaluation) is skipped:
+                // nothing can apply.
+                order.clear();
+                // lint:allow(alloc-in-hot-loop): refills within capacity retained across calls (≤ n slots)
+                order.extend((0..n).filter(|&i| open[i]));
+                if !drop_cache_valid {
+                    // Full rebuild (only after a SWAP): fresh
+                    // ascending first-minimum scan per client.
+                    cbest.clear();
+                    cbest.resize(n_clients, 0.0);
+                    calt.clear();
+                    calt.resize(n_clients, 0.0);
+                    cidx.clear();
+                    cidx.resize(n_clients, usize::MAX);
+                    cb2i.clear();
+                    cb2i.resize(n_clients, usize::MAX);
+                    for (c, row) in self.service_rows().enumerate() {
+                        let mut b1 = f64::INFINITY;
+                        let mut b1i = usize::MAX;
+                        let mut b2 = f64::INFINITY;
+                        let mut b2i = usize::MAX;
+                        for &i in order.iter() {
+                            let s = row[i];
+                            if s < b1 {
+                                b2 = b1;
+                                b2i = b1i;
+                                b1 = s;
+                                b1i = i;
+                            } else if s < b2 {
+                                b2 = s;
+                                b2i = i;
                             }
-                            if open.iter().filter(|&&o| o).count() == 1 {
-                                break;
-                            }
-                            let mut reroute_penalty = 0.0;
-                            let mut feasible = true;
-                            new_assign.clear();
-                            new_assign.extend_from_slice(assign);
-                            for (c, (row, &cur)) in
-                                self.service_rows().zip(assign.iter()).enumerate()
-                            {
-                                if cur == k {
-                                    let alt = (0..n)
-                                        .filter(|&i| i != k && open[i])
-                                        .min_by(|&a, &b| row[a].total_cmp(&row[b]));
-                                    match alt {
-                                        Some(alt) => {
-                                            reroute_penalty += row[alt] - row[k];
-                                            new_assign[c] = alt;
-                                        }
-                                        None => {
-                                            feasible = false;
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                            if feasible && self.facility_cost[k] - reroute_penalty > TOL {
-                                open[k] = false;
-                                std::mem::swap(assign, new_assign);
-                                improved = true;
-                            }
+                        }
+                        cbest[c] = b1;
+                        cidx[c] = b1i;
+                        calt[c] = b2;
+                        cb2i[c] = b2i;
+                    }
+                    drop_cache_valid = true;
+                }
+                // `v` (dual-ascent scratch, free here) hosts the
+                // per-facility frozen reroute penalties —
+                // `facc` must survive untouched: it still holds
+                // the cached ADD screen.
+                v.clear();
+                v.resize(n, 0.0);
+                for (((row, &cur), (&ci, &ca)), &cb) in self
+                    .service_rows()
+                    .zip(assign.iter())
+                    .zip(cidx.iter().zip(calt.iter()))
+                    .zip(cbest.iter())
+                {
+                    let alt = if ci == cur { ca } else { cb };
+                    v[cur] += alt - row[cur];
+                }
+                // `order` now doubles as the live open list
+                // (sorted ascending; drops remove in place), so
+                // the survivors' alt-min scans O(|open|) instead
+                // of O(n) and matches the textbook iteration
+                // order exactly.
+                for k in 0..n {
+                    if !open[k] {
+                        continue;
+                    }
+                    if order.len() == 1 {
+                        break;
+                    }
+                    if self.facility_cost[k] - v[k] <= TOL {
+                        continue;
+                    }
+                    // Exact screen passed ⇒ the textbook loop would
+                    // apply this drop with reroute penalty
+                    // bitwise-equal to v[k]. Apply directly:
+                    // clients on k move to their cached
+                    // alternative (second-best index when k was
+                    // their minimum, best index otherwise —
+                    // exactly the textbook first-minimum
+                    // over the live open list minus k).
+                    let reroute_penalty = v[k];
+                    open[k] = false;
+                    for (a, (&ci, &c2)) in assign.iter_mut().zip(cidx.iter().zip(cb2i.iter())) {
+                        if *a == k {
+                            *a = if ci == k { c2 } else { ci };
                         }
                     }
-                    _ => {
-                        // Lane backends: the per-facility reroute sums
-                        // in `v` are not a screen but the *exact*
-                        // reference penalties. For each k, the
-                        // reference accumulates (alt − row[k]) over
-                        // clients assigned to k in ascending client
-                        // order, where alt is the first-minimum of the
-                        // live open list excluding k. The `v` build
-                        // below streams clients in that same ascending
-                        // order, each contributing to exactly its own
-                        // v[assign[c]] — identical addends in an
-                        // identical order, starting from 0.0 — and the
-                        // top-2 cache supplies the identical alt value
-                        // (second-best when k holds the client's
-                        // minimum, best otherwise; on value ties the
-                        // cache stores the earliest index, matching
-                        // the reference scan, so the rerouted-onto
-                        // facility is also the exact one the reference
-                        // picks). Passing `f_k − v[k] > TOL` therefore
-                        // IS the reference apply decision: candidates
-                        // apply directly with no re-evaluation, and
-                        // after each apply the cache is repaired and
-                        // `v` rebuilt from the live state so the
-                        // remaining candidates stay exact. The move
-                        // sequence is bitwise-identical by
-                        // construction.
-                        if drop_clean {
-                            // Unchanged inputs since the last no-op
-                            // DROP evaluation: nothing can apply.
-                        } else {
-                            order.clear();
-                            // lint:allow(alloc-in-hot-loop): refills within capacity retained across calls (≤ n slots)
-                            order.extend((0..n).filter(|&i| open[i]));
-                            if !drop_cache_valid {
-                                // Full rebuild (only after a SWAP): fresh
-                                // ascending first-minimum scan per client.
-                                cbest.clear();
-                                cbest.resize(n_clients, 0.0);
-                                calt.clear();
-                                calt.resize(n_clients, 0.0);
-                                cidx.clear();
-                                cidx.resize(n_clients, usize::MAX);
-                                cb2i.clear();
-                                cb2i.resize(n_clients, usize::MAX);
-                                for (c, row) in self.service_rows().enumerate() {
-                                    let mut b1 = f64::INFINITY;
-                                    let mut b1i = usize::MAX;
-                                    let mut b2 = f64::INFINITY;
-                                    let mut b2i = usize::MAX;
-                                    for &i in order.iter() {
-                                        let s = row[i];
-                                        if s < b1 {
-                                            b2 = b1;
-                                            b2i = b1i;
-                                            b1 = s;
-                                            b1i = i;
-                                        } else if s < b2 {
-                                            b2 = s;
-                                            b2i = i;
-                                        }
-                                    }
-                                    cbest[c] = b1;
-                                    cidx[c] = b1i;
-                                    calt[c] = b2;
-                                    cb2i[c] = b2i;
-                                }
-                                drop_cache_valid = true;
-                            }
-                            // `v` (dual-ascent scratch, free here) hosts the
-                            // per-facility frozen reroute penalties —
-                            // `facc` must survive untouched: it still holds
-                            // the cached ADD screen.
-                            v.clear();
-                            v.resize(n, 0.0);
-                            for (((row, &cur), (&ci, &ca)), &cb) in self
-                                .service_rows()
-                                .zip(assign.iter())
-                                .zip(cidx.iter().zip(calt.iter()))
-                                .zip(cbest.iter())
-                            {
-                                let alt = if ci == cur { ca } else { cb };
-                                v[cur] += alt - row[cur];
-                            }
-                            // `order` now doubles as the live open list
-                            // (sorted ascending; drops remove in place), so
-                            // the survivors' alt-min scans O(|open|) instead
-                            // of O(n) and matches the reference iteration
-                            // order exactly.
-                            for k in 0..n {
-                                if !open[k] {
-                                    continue;
-                                }
-                                if order.len() == 1 {
-                                    break;
-                                }
-                                if self.facility_cost[k] - v[k] <= TOL {
-                                    continue;
-                                }
-                                // Exact screen passed ⇒ the reference would
-                                // apply this drop with reroute penalty
-                                // bitwise-equal to v[k]. Apply directly:
-                                // clients on k move to their cached
-                                // alternative (second-best index when k was
-                                // their minimum, best index otherwise —
-                                // exactly the reference's first-minimum
-                                // over the live open list minus k).
-                                let reroute_penalty = v[k];
-                                open[k] = false;
-                                for (a, (&ci, &c2)) in
-                                    assign.iter_mut().zip(cidx.iter().zip(cb2i.iter()))
-                                {
-                                    if *a == k {
-                                        *a = if ci == k { c2 } else { ci };
-                                    }
-                                }
-                                improved = true;
-                                dropped = true;
-                                add_screen_exact = false;
-                                // Rerouted clients got more expensive,
-                                // but by at most `reroute_penalty` in
-                                // total — so adding it (with a relative
-                                // cushion that dominates the O(C·u)
-                                // accumulated rounding slop of the
-                                // re-summed gains) keeps every cached
-                                // ADD gain a sound upper bound. Loose
-                                // is safe: a false survivor is merely
-                                // re-evaluated exactly; only a false
-                                // skip could diverge from scalar.
-                                for g in facc.iter_mut() {
-                                    *g = (*g + reroute_penalty) * (1.0 + 1e-9);
-                                }
-                                if let Ok(pos) = order.binary_search(&k) {
-                                    order.remove(pos);
-                                }
-                                // Repair the top-2 cache: only clients
-                                // whose best or second-best was `k`
-                                // rescan the (live) open list.
-                                for (c, row) in self.service_rows().enumerate() {
-                                    if cidx[c] != k && cb2i[c] != k {
-                                        continue;
-                                    }
-                                    let mut b1 = f64::INFINITY;
-                                    let mut b1i = usize::MAX;
-                                    let mut b2 = f64::INFINITY;
-                                    let mut b2i = usize::MAX;
-                                    for &i in order.iter() {
-                                        let s = row[i];
-                                        if s < b1 {
-                                            b2 = b1;
-                                            b2i = b1i;
-                                            b1 = s;
-                                            b1i = i;
-                                        } else if s < b2 {
-                                            b2 = s;
-                                            b2i = i;
-                                        }
-                                    }
-                                    cbest[c] = b1;
-                                    cidx[c] = b1i;
-                                    calt[c] = b2;
-                                    cb2i[c] = b2i;
-                                }
-                                // Rebuild the exact reroute sums against
-                                // the new live state so the remaining
-                                // candidates keep the direct-apply
-                                // guarantee.
-                                v.clear();
-                                v.resize(n, 0.0);
-                                for (((row, &cur), (&ci, &ca)), &cb) in self
-                                    .service_rows()
-                                    .zip(assign.iter())
-                                    .zip(cidx.iter().zip(calt.iter()))
-                                    .zip(cbest.iter())
-                                {
-                                    let alt = if ci == cur { ca } else { cb };
-                                    v[cur] += alt - row[cur];
-                                }
+                    improved = true;
+                    dropped = true;
+                    add_screen_exact = false;
+                    // Rerouted clients got more expensive,
+                    // but by at most `reroute_penalty` in
+                    // total — so adding it (with a relative
+                    // cushion that dominates the O(C·u)
+                    // accumulated rounding slop of the
+                    // re-summed gains) keeps every cached
+                    // ADD gain a sound upper bound. Loose
+                    // is safe: a false survivor is merely
+                    // re-evaluated exactly; only a false
+                    // skip could diverge from the textbook loop.
+                    for g in facc.iter_mut() {
+                        *g = (*g + reroute_penalty) * (1.0 + 1e-9);
+                    }
+                    if let Ok(pos) = order.binary_search(&k) {
+                        order.remove(pos);
+                    }
+                    // Repair the top-2 cache: only clients
+                    // whose best or second-best was `k`
+                    // rescan the (live) open list.
+                    for (c, row) in self.service_rows().enumerate() {
+                        if cidx[c] != k && cb2i[c] != k {
+                            continue;
+                        }
+                        let mut b1 = f64::INFINITY;
+                        let mut b1i = usize::MAX;
+                        let mut b2 = f64::INFINITY;
+                        let mut b2i = usize::MAX;
+                        for &i in order.iter() {
+                            let s = row[i];
+                            if s < b1 {
+                                b2 = b1;
+                                b2i = b1i;
+                                b1 = s;
+                                b1i = i;
+                            } else if s < b2 {
+                                b2 = s;
+                                b2i = i;
                             }
                         }
+                        cbest[c] = b1;
+                        cidx[c] = b1i;
+                        calt[c] = b2;
+                        cb2i[c] = b2i;
+                    }
+                    // Rebuild the exact reroute sums against
+                    // the new live state so the remaining
+                    // candidates keep the direct-apply
+                    // guarantee.
+                    v.clear();
+                    v.resize(n, 0.0);
+                    for (((row, &cur), (&ci, &ca)), &cb) in self
+                        .service_rows()
+                        .zip(assign.iter())
+                        .zip(cidx.iter().zip(calt.iter()))
+                        .zip(cbest.iter())
+                    {
+                        let alt = if ci == cur { ca } else { cb };
+                        v[cur] += alt - row[cur];
                     }
                 }
             }
-            if lane {
-                drop_clean = !dropped;
-                if dropped {
-                    add_clean = false;
-                }
+            drop_clean = !dropped;
+            if dropped {
+                add_clean = false;
             }
 
             // SWAP moves: replace open k by closed k2.
@@ -865,14 +745,6 @@ impl UflProblem {
 
     /// [`UflProblem::dual_ascent_bound`] with caller-owned scratch.
     pub fn dual_ascent_bound_with(&self, scratch: &mut UflScratch) -> f64 {
-        self.dual_ascent_bound_with_kernel(scratch, Kernel::Scalar)
-    }
-
-    /// [`UflProblem::dual_ascent_bound_with`] on an explicit kernel
-    /// backend (bitwise-identical bound whatever the backend: the min
-    /// reductions are exactly reorderable — no NaN, no `-0.0` — and
-    /// every sum keeps its per-element scalar order).
-    pub fn dual_ascent_bound_with_kernel(&self, scratch: &mut UflScratch, kernel: Kernel) -> f64 {
         self.assert_valid();
         let n = self.n_facilities();
         if self.n_clients == 0 {
@@ -889,47 +761,28 @@ impl UflProblem {
         // v_c starts at the client's cheapest service cost (feasible:
         // every (v_c - s_ci)+ is 0 at the argmin and negative terms
         // don't count... they are zero for all i with s_ci >= v_c).
+        // The lane min is exactly reorderable (no NaN, no `-0.0`).
         v.clear();
-        match kernel {
-            Kernel::Scalar => v.extend(
-                self.service_rows()
-                    .map(|row| row.iter().cloned().fold(f64::MAX, f64::min)),
-            ),
-            _ => {
-                if self.row_mins.len() == self.n_clients {
-                    v.extend_from_slice(&self.row_mins);
-                } else {
-                    v.extend(self.service_rows().map(|row| kernel::row_min(kernel, row)));
-                }
-            }
+        if self.row_mins.len() == self.n_clients {
+            v.extend_from_slice(&self.row_mins);
+        } else {
+            v.extend(self.service_rows().map(kernel::row_min));
         }
-        // Remaining budget of each facility. Scalar: the reference
-        // facility-major scan; lane backends: stream client rows into
-        // per-facility consumption (same per-element addend order).
+        // Remaining budget of each facility: client rows stream into
+        // per-facility consumption (the per-element addend order of a
+        // facility-major scan).
         budget.clear();
-        match kernel {
-            Kernel::Scalar => budget.extend((0..n).map(|i| {
-                let used: f64 = v
-                    .iter()
-                    .zip(self.service_rows())
-                    .map(|(&vc, row)| (vc - row[i]).max(0.0))
-                    .sum();
-                self.facility_cost[i] - used
-            })),
-            _ => {
-                facc.clear();
-                facc.resize(n, 0.0);
-                for (row, &vc) in self.service_rows().zip(&*v) {
-                    kernel::accum_relu_sub(kernel, facc, vc, row);
-                }
-                budget.extend(
-                    self.facility_cost
-                        .iter()
-                        .zip(&*facc)
-                        .map(|(&f, &used)| f - used),
-                );
-            }
+        facc.clear();
+        facc.resize(n, 0.0);
+        for (row, &vc) in self.service_rows().zip(&*v) {
+            kernel::accum_relu_sub(facc, vc, row);
         }
+        budget.extend(
+            self.facility_cost
+                .iter()
+                .zip(&*facc)
+                .map(|(&f, &used)| f - used),
+        );
         debug_assert!(budget.iter().all(|&b| b >= -1e-9));
 
         // Ascend until no client can be raised (DUALOC-style); process
@@ -939,82 +792,51 @@ impl UflProblem {
         // independent of the incoming permutation.
         order.clear();
         order.extend(0..v.len());
-        match kernel {
-            Kernel::Scalar => {
-                for _pass in 0..30 {
-                    order.sort_by(|&a, &b| v[a].total_cmp(&v[b]).then(a.cmp(&b)));
-                    let mut raised = 0.0;
-                    for &c in order.iter() {
-                        let row = self.service_row(c);
-                        // Max uniform raise of v_c keeping all facilities
-                        // within budget: for facility i the raise may
-                        // consume budget only beyond max(s_ci, v_c).
-                        let mut delta = f64::MAX;
-                        for i in 0..n {
-                            let headroom = (row[i] - v[c]).max(0.0) + budget[i].max(0.0);
-                            delta = delta.min(headroom);
-                        }
-                        if delta > 1e-12 && delta < f64::MAX {
-                            for i in 0..n {
-                                let inc = (v[c] + delta - row[i].max(v[c])).max(0.0);
-                                budget[i] -= inc;
-                            }
-                            v[c] += delta;
-                            raised += delta;
-                        }
-                    }
-                    if raised < 1e-12 {
-                        break;
-                    }
+        // Quiescent clients retire: once a client fails
+        // `delta > 1e-12`, its v_c is frozen while every budget only
+        // drains and its row is fixed, so its headroom (hence delta) is
+        // non-increasing — it can never raise again. Skipping it is
+        // bitwise-invisible (a no-raise iteration reads state without
+        // writing: raising would add `+0.0` to nothing), the surviving
+        // clients keep their exact relative sort order, and the pass
+        // count is unchanged (a pass of retirees yields `raised = 0.0`
+        // in the textbook loop too). Each pass compacts `order` in
+        // place to the still-active clients. `cidx` (free local-search
+        // scratch) lists the dead facilities — drained budgets. A
+        // client whose row meets a dead facility at or below its v_c
+        // has headroom `(row_i − v_c)⁺ + budget_i⁺ ≤ 1e-12` there, so
+        // its delta cannot clear the raise threshold: it retires
+        // without the O(n) headroom scan. The skip is exactly the
+        // decision the textbook loop reaches the long way.
+        let dead = cidx;
+        for _pass in 0..30 {
+            order.sort_by(|&a, &b| v[a].total_cmp(&v[b]).then(a.cmp(&b)));
+            dead.clear();
+            // lint:allow(alloc-in-hot-loop): refills within capacity retained across calls (≤ n slots)
+            dead.extend((0..n).filter(|&i| budget[i] <= 1e-12));
+            let mut raised = 0.0;
+            let mut kept = 0;
+            for idx in 0..order.len() {
+                let c = order[idx];
+                let row = self.service_row(c);
+                if dead.iter().any(|&i| row[i] <= v[c]) {
+                    continue;
+                }
+                // Max uniform raise of v_c keeping all facilities
+                // within budget: for facility i the raise may consume
+                // budget only beyond max(s_ci, v_c).
+                let delta = kernel::headroom_min(row, v[c], budget);
+                if delta > 1e-12 && delta < f64::MAX {
+                    kernel::drain_budget(budget, row, v[c], delta);
+                    v[c] += delta;
+                    raised += delta;
+                    order[kept] = c;
+                    kept += 1;
                 }
             }
-            _ => {
-                // Lane backends retire quiescent clients: once a client
-                // fails `delta > 1e-12`, its v_c is frozen while every
-                // budget only drains and its row is fixed, so its
-                // headroom (hence delta) is non-increasing — it can
-                // never raise again. Skipping it is bitwise-invisible
-                // (a no-raise iteration reads state without writing:
-                // raising would add `+0.0` to nothing), the surviving
-                // clients keep their exact relative sort order, and the
-                // pass count is unchanged (a pass of retirees yields
-                // `raised = 0.0` for scalar too). Each pass compacts
-                // `order` in place to the still-active clients.
-                // `cidx` (free local-search scratch) lists the dead
-                // facilities — drained budgets. A client whose row
-                // meets a dead facility at or below its v_c has
-                // headroom `(row_i − v_c)⁺ + budget_i⁺ ≤ 1e-12` there,
-                // so its delta cannot clear the raise threshold: it
-                // retires without the O(n) headroom scan. The skip is
-                // exactly the decision scalar reaches the long way.
-                let dead = cidx;
-                for _pass in 0..30 {
-                    order.sort_by(|&a, &b| v[a].total_cmp(&v[b]).then(a.cmp(&b)));
-                    dead.clear();
-                    // lint:allow(alloc-in-hot-loop): refills within capacity retained across calls (≤ n slots)
-                    dead.extend((0..n).filter(|&i| budget[i] <= 1e-12));
-                    let mut raised = 0.0;
-                    let mut kept = 0;
-                    for idx in 0..order.len() {
-                        let c = order[idx];
-                        let row = self.service_row(c);
-                        if dead.iter().any(|&i| row[i] <= v[c]) {
-                            continue;
-                        }
-                        let delta = kernel::headroom_min(kernel, row, v[c], budget);
-                        if delta > 1e-12 && delta < f64::MAX {
-                            kernel::drain_budget(kernel, budget, row, v[c], delta);
-                            v[c] += delta;
-                            raised += delta;
-                            order[kept] = c;
-                            kept += 1;
-                        }
-                    }
-                    order.truncate(kept);
-                    if raised < 1e-12 {
-                        break;
-                    }
-                }
+            order.truncate(kept);
+            if raised < 1e-12 {
+                break;
             }
         }
         v.iter().sum()
@@ -1208,7 +1030,7 @@ mod tests {
         p.reset();
         assert_eq!(p.n_clients(), 0);
         p.facility_cost.extend([3.0, 4.0]);
-        p.push_service_row([5.0, 6.0]);
+        p.push_service_row_zeroed().copy_from_slice(&[5.0, 6.0]);
         assert_eq!(p.n_clients(), 1);
         assert_eq!(p.service_row(0), &[5.0, 6.0]);
         assert!(p.facility_cost.capacity() >= cap_f);

@@ -292,16 +292,16 @@ pub(crate) fn config_fingerprint(cfg: &EpfConfig, inst: &MipInstance) -> u64 {
     push(cfg.seed);
     push(u64::from(cfg.feasibility_only));
     push(cfg.step_limit.map_or(u64::MAX, |s| s));
-    // The kernel backend is bitwise-neutral by the kernel module's
-    // contract, but a resume mixing backends would still be a run no
-    // single-backend execution can reproduce pass-for-pass in its
-    // BENCH provenance — refuse the mismatch.
-    push(cfg.kernel.tag());
-    // Same rationale for the penalty layout (bitwise-neutral reads)
-    // and the memory budget (value-neutral streaming degrade); the
-    // certification knobs shape the final bound, so they are
-    // trajectory-relevant outright.
-    push(cfg.layout.tag());
+    // The retired kernel-backend and penalty-layout slots: both held
+    // `1` (chunked, sparse) in every default config, and those are the
+    // only paths left. Kept so existing checkpoints keep their
+    // fingerprint.
+    push(1);
+    push(1);
+    // The memory budget is value-neutral (streaming degrade) but a
+    // resume across budgets is refused all the same; the certification
+    // knobs shape the final bound, so they are trajectory-relevant
+    // outright.
     push(cfg.memory_budget_mb.map_or(u64::MAX, |m| m as u64));
     push(cfg.gap_limit.map_or(u64::MAX, f64::to_bits));
     push(cfg.exact_cert as u64);

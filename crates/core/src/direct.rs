@@ -304,7 +304,7 @@ mod tests {
             ..Default::default()
         };
         let (frac, _) = solve_fractional(&inst, &cfg);
-        let (placement, rstats) = round_solution(&inst, &frac, cfg.gamma, cfg.kernel);
+        let (placement, rstats) = round_solution(&inst, &frac, cfg.gamma, crate::kernel::Kernel);
         // The heuristic pipeline must be close to the exact optimum
         // (paper: 1–4 % gaps; allow slack on this tiny instance).
         assert!(

@@ -74,11 +74,11 @@ pub struct EpfConfig {
     /// whichever trips first wins. Benchmarks use `step_limit`;
     /// `wall_limit` is for latency-capped operation.
     pub step_limit: Option<u64>,
-    /// Lane backend for the hot penalty/UFL kernels
-    /// ([`crate::kernel`]). Every backend is bitwise-identical per
-    /// element, so this is a pure speed knob — but it is still part of
-    /// the checkpoint fingerprint, so resumes refuse a mismatch rather
-    /// than silently mixing code paths.
+    /// Retired backend selector ([`Kernel`] is a field-less marker;
+    /// the lane kernels of [`crate::kernel`] are the only backend).
+    /// Nothing reads it: it remains so that callers passing
+    /// `cfg.kernel` to [`crate::rounding::round_solution`] still
+    /// compile, and goes away together with that parameter.
     pub kernel: Kernel,
     /// Certified-gap early stop: the solver reports `converged = true`
     /// (and stops bisecting) once `ub ≤ (1 + gap_limit)·lb`. `None`
@@ -96,14 +96,8 @@ pub struct EpfConfig {
     /// right choice above ~10⁴ blocks, where block LPs dominate wall
     /// time).
     pub exact_cert: usize,
-    /// Penalty arena layout ([`crate::penalty::PenaltyLayout`]):
-    /// `Sparse` (default) stores only the client rows active in each
-    /// window; `Dense` is the historical full `T·V²` arena. Reads are
-    /// bitwise-identical across layouts, so trajectories match — the
-    /// knob is memory/speed only, but fingerprinted like `kernel`.
-    pub layout: crate::penalty::PenaltyLayout,
     /// Optional working-set budget in MiB. When the projected solver
-    /// working set exceeds it, the sparse arena degrades to streaming
+    /// working set exceeds it, the penalty arena degrades to streaming
     /// window rebuilds (dropping its reverse index) instead of
     /// growing; values stay bitwise-identical (the rebuild invariant),
     /// only wall time is traded for memory. `None` = never degrade.
@@ -122,10 +116,9 @@ impl Default for EpfConfig {
             seed: 0,
             wall_limit: None,
             step_limit: None,
-            kernel: Kernel::default(),
+            kernel: Kernel,
             gap_limit: None,
             exact_cert: 0,
-            layout: crate::penalty::PenaltyLayout::default(),
             memory_budget_mb: None,
         }
     }
@@ -331,7 +324,6 @@ pub(crate) fn build_ufl_into(
     duals: &Duals,
     arena: &PenaltyArena,
     out: &mut UflProblem,
-    kernel: Kernel,
 ) {
     let v = inst.n_vhos();
     out.reset();
@@ -343,32 +335,17 @@ pub(crate) fn build_ufl_into(
     }));
     for client in &data.clients {
         let j = client.j.index();
-        match kernel {
-            Kernel::Scalar => out.push_service_row((0..v).map(|i| {
-                // lint:allow(raw-index): dual/penalty rows are dense over VHO indices
-                let iv = vod_model::VhoId::from_index(i);
-                let mut cost = duals.obj * client.demand_gb * inst.cost(iv, client.j);
-                for (t, &rate) in client.rate.iter().enumerate() {
-                    if rate != 0.0 {
-                        cost += rate * arena.at(t, i, j);
-                    }
-                }
-                cost
-            })),
-            // Lane backends stream the arena's contiguous client-major
-            // rows: base objective cost elementwise, then one axpy per
-            // active window (t-ascending per element — the exact addend
-            // order of the scalar closure above).
-            _ => {
-                let row = out.push_service_row_zeroed();
-                for (iv, slot) in inst.network.vho_ids().zip(row.iter_mut()) {
-                    *slot = duals.obj * client.demand_gb * inst.cost(iv, client.j);
-                }
-                for (t, &rate) in client.rate.iter().enumerate() {
-                    if rate != 0.0 {
-                        kernel::axpy(kernel, row, rate, arena.client_row(t, j));
-                    }
-                }
+        // Stream the arena's contiguous client-major rows: base
+        // objective cost elementwise, then one axpy per active window
+        // (t-ascending per element — the addend order of the naive
+        // per-entry sum `obj·d·c_ij + Σ_t rate_t·D_t(i, j)`).
+        let row = out.push_service_row_zeroed();
+        for (iv, slot) in inst.network.vho_ids().zip(row.iter_mut()) {
+            *slot = duals.obj * client.demand_gb * inst.cost(iv, client.j);
+        }
+        for (t, &rate) in client.rate.iter().enumerate() {
+            if rate != 0.0 {
+                kernel::axpy(row, rate, arena.client_row(t, j));
             }
         }
     }
@@ -807,20 +784,15 @@ pub(crate) fn solve_fractional_driven(
     // by the arena's rebuild invariant (`tests/penalty_props.rs`).
     // Under a memory budget, the arena gets the bytes left after the
     // fixed working set (block data + solutions + potential rows +
-    // scratch) — exceeding it degrades the sparse arena to streaming
-    // window rebuilds instead of OOM-ing.
+    // scratch) — exceeding it degrades the arena to streaming window
+    // rebuilds instead of OOM-ing.
     let arena_budget = cfg.memory_budget_mb.map(|mb| {
         let fixed = approx_bytes(inst, &[], &layout, 0, threads);
         (mb << 20).saturating_sub(fixed)
     });
-    let arena = RwLock::new(PenaltyArena::with_layout(
-        inst,
-        &layout,
-        cfg.layout,
-        arena_budget,
-    ));
+    let arena = RwLock::new(PenaltyArena::with_budget(inst, &layout, arena_budget));
     std::thread::scope(|scope| {
-        let pool = WorkerPool::new(scope, threads, inst, layout, &arena, cfg.kernel);
+        let pool = WorkerPool::new(scope, threads, inst, layout, &arena);
         solve_with_pool(inst, cfg, layout, &pool, start, warm, resume, ckpt)
     })
 }

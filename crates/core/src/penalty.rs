@@ -11,25 +11,21 @@
 //! built once per solve) maps each changed dual row to exactly the
 //! entries it feeds, and only those entries are recomputed.
 //!
-//! **Layouts** ([`PenaltyLayout`]). The arena is addressed through a
-//! per-`(window, client)` *row slot* table:
-//!
-//! - [`PenaltyLayout::Dense`] stores every `(t, j)` row — the
-//!   historical full `T·V²` arena (slot = `t·V + j`).
-//! - [`PenaltyLayout::Sparse`] (default) stores only the rows that are
-//!   *active* — client VHO `j` has nonzero demand rate in window `t`
-//!   in at least one block. Every hot read is gated by exactly that
-//!   predicate (`rate != 0.0` in `build_ufl_into`, the greedy
-//!   correctives, and the rounding pass), so the dropped rows are
-//!   never streamed; a stray [`PenaltyArena::at`] on an inactive row
-//!   recomputes the sum on demand from the forward CSR — the same
-//!   links in the same order, hence bitwise the value the dense arena
-//!   stores. Reads are therefore **bitwise identical across layouts**
-//!   (pinned by `tests/penalty_props.rs`), making the layout a pure
-//!   memory knob that cannot move a solve trajectory.
+//! **Sparse rows.** The arena is addressed through a per-`(window,
+//! client)` *row slot* table and stores only the rows that are
+//! *active* — client VHO `j` has nonzero demand rate in window `t` in
+//! at least one block. Every hot read is gated by exactly that
+//! predicate (`rate != 0.0` in `build_ufl_into`, the greedy
+//! correctives, and the rounding pass), so the dropped rows are never
+//! streamed; a stray [`PenaltyArena::at`] on an inactive row recomputes
+//! the sum on demand from the forward CSR — the same links in the same
+//! order, hence bitwise the value a stored row would hold. Every read
+//! is therefore **bitwise the naive path sum** `Σ_{l ∈ P_ij} π_{(l,t)}`
+//! in path order, which `tests/penalty_props.rs` checks at every
+//! `(t, i, j)`.
 //!
 //! **Streaming degrade.** Under a memory budget
-//! ([`PenaltyArena::with_layout`]), the sparse arena drops its reverse
+//! ([`PenaltyArena::with_budget`]), the arena drops its reverse
 //! index and epoch stamps entirely: an update then re-sums *every*
 //! active row of each window whose dual slice changed, instead of only
 //! the entries behind changed links. Same from-scratch sums in the
@@ -39,59 +35,18 @@
 //! **Invariant:** a dirty entry is *re-summed from scratch in path
 //! order*, never patched with a `+=` delta — so the arena is always
 //! bitwise identical to a full rebuild under the same duals, whatever
-//! update sequence produced it, and whatever [`Kernel`] backend ran
-//! the batched re-sum (every backend sums each path sequentially; see
-//! `crate::kernel::gather_sum`). The `penalty_incremental_matches_rebuild`
-//! property test (and the determinism contract of [`crate::pool`])
-//! leans on exactly this.
+//! update sequence produced it (the batched re-sum adds each path
+//! sequentially; see `crate::kernel::gather_sum`). The penalty
+//! property tests (and the determinism contract of [`crate::pool`])
+//! lean on exactly this.
 
 use crate::instance::MipInstance;
-use crate::kernel::{self, Kernel};
+use crate::kernel;
 use crate::potential::{Duals, RowLayout};
 use vod_model::LinkId;
 
 /// Row-slot sentinel: the `(t, j)` row is not stored.
 const NO_ROW: u32 = u32::MAX;
-
-/// Storage layout of the penalty arena — carried in
-/// [`crate::EpfConfig`] and fingerprinted like the kernel backend.
-/// Reads are bitwise-identical across layouts (see the module docs),
-/// so this is a memory/speed knob only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PenaltyLayout {
-    /// Every `(window, client)` row (`T·V²` floats).
-    Dense,
-    /// Only demand-active `(window, client)` rows, CSR-indexed.
-    #[default]
-    Sparse,
-}
-
-impl PenaltyLayout {
-    /// Parse a layout name (the bench's `--layout` flag).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "dense" => Some(Self::Dense),
-            "sparse" => Some(Self::Sparse),
-            _ => None,
-        }
-    }
-
-    /// Stable display / JSON name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Dense => "dense",
-            Self::Sparse => "sparse",
-        }
-    }
-
-    /// Fingerprint tag (stable across builds).
-    pub fn tag(self) -> u64 {
-        match self {
-            Self::Dense => 0,
-            Self::Sparse => 1,
-        }
-    }
-}
 
 /// Outcome of a [`PenaltyArena::update`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,13 +68,11 @@ pub struct PenaltyArena {
     n_vhos: usize,
     n_links: usize,
     n_windows: usize,
-    mode: PenaltyLayout,
     /// Whether the reverse index was dropped for the memory budget
     /// (updates then stream whole windows; see the module docs).
     streaming: bool,
     /// `data[slot·V + i] = Σ_{l ∈ P_ij} π_{(l,t)}` where
-    /// `slot = row_slot[t·V + j]` (client-major rows; dense layout
-    /// makes `slot = t·V + j`, recovering the historical packing).
+    /// `slot = row_slot[t·V + j]` (client-major rows).
     data: Vec<f64>,
     /// Row-slot table: `row_slot[t·V + j]` is the stored slot of the
     /// `(t, j)` client row, or [`NO_ROW`].
@@ -158,22 +111,20 @@ pub struct PenaltyArena {
 
 impl PenaltyArena {
     /// Build the routing indexes and a zeroed arena (which is exactly
-    /// the penalty of the all-zero dual snapshot) in the default
-    /// layout, with no memory budget.
+    /// the penalty of the all-zero dual snapshot), with no memory
+    /// budget.
     pub fn new(inst: &MipInstance, layout: &RowLayout) -> Self {
-        Self::with_layout(inst, layout, PenaltyLayout::default(), None)
+        Self::with_budget(inst, layout, None)
     }
 
-    /// As [`PenaltyArena::new`] with an explicit layout and an optional
-    /// byte budget for the arena's own structures. A sparse arena whose
-    /// projected size exceeds the budget degrades to streaming mode
-    /// (drops the reverse index and stamps — values stay bitwise
-    /// identical, updates re-sum whole changed windows). A dense arena
-    /// ignores the budget: its size is fixed by the layout choice.
-    pub fn with_layout(
+    /// As [`PenaltyArena::new`] with an optional byte budget for the
+    /// arena's own structures. An arena whose projected size exceeds
+    /// the budget degrades to streaming mode (drops the reverse index
+    /// and stamps — values stay bitwise identical, updates re-sum
+    /// whole changed windows).
+    pub fn with_budget(
         inst: &MipInstance,
         layout: &RowLayout,
-        mode: PenaltyLayout,
         budget_bytes: Option<usize>,
     ) -> Self {
         let v = inst.n_vhos();
@@ -181,7 +132,7 @@ impl PenaltyArena {
         let n_links = layout.n_links;
         let n_windows = layout.n_windows;
 
-        // Forward CSR over pairs (both layouts need it). Two-pass
+        // Forward CSR over pairs. Two-pass
         // build: count, prefix-sum, cursor-fill — no nested Vec, no
         // push in the pair loop.
         let mut plinks_off = vec![0u32; v * v + 1];
@@ -213,34 +164,23 @@ impl PenaltyArena {
             }
         }
 
-        // Row-slot table. Dense: identity over (t, j). Sparse: rows
-        // with any nonzero demand rate — exactly the gate every hot
-        // read applies before touching the arena.
+        // Row-slot table: rows with any nonzero demand rate — exactly
+        // the gate every hot read applies before touching the arena.
         let mut row_slot = vec![NO_ROW; n_windows * v];
-        match mode {
-            PenaltyLayout::Dense => {
-                for (s, slot) in row_slot.iter_mut().enumerate() {
-                    // lint:allow(no-panic-hot-path): constructor-only size guard, once per instance
-                    *slot = u32::try_from(s).expect("dense row slot exceeds u32");
+        for b in inst.blocks() {
+            for c in &b.clients {
+                for (t, &rate) in c.rate.iter().enumerate() {
+                    if rate != 0.0 {
+                        row_slot[t * v + c.j.index()] = 0; // mark active
+                    }
                 }
             }
-            PenaltyLayout::Sparse => {
-                for b in inst.blocks() {
-                    for c in &b.clients {
-                        for (t, &rate) in c.rate.iter().enumerate() {
-                            if rate != 0.0 {
-                                row_slot[t * v + c.j.index()] = 0; // mark active
-                            }
-                        }
-                    }
-                }
-                let mut next = 0u32;
-                for slot in row_slot.iter_mut() {
-                    if *slot != NO_ROW {
-                        *slot = next;
-                        next += 1;
-                    }
-                }
+        }
+        let mut next = 0u32;
+        for slot in row_slot.iter_mut() {
+            if *slot != NO_ROW {
+                *slot = next;
+                next += 1;
             }
         }
         let mut row_off = vec![0u32; n_windows + 1];
@@ -259,8 +199,7 @@ impl PenaltyArena {
         let n_rows_stored = slot_client.len();
 
         // Memory projection: does the full incremental index fit the
-        // budget? (Dense mode keeps its historical structures either
-        // way — the budget is a *sparse-arena* degrade knob.)
+        // budget?
         let full_bytes = n_rows_stored * v * 8 // data
             + (row_slot.len() + slot_client.len() + row_off.len()) * 4
             + (plinks_off.len() + plinks.len()) * 4
@@ -268,8 +207,7 @@ impl PenaltyArena {
             + (n_links + 1) * 4 // rev_off
             + 2 * v * v * 4 // stamp + dirty
             + layout.n_rows() * 8; // last snapshot
-        let streaming =
-            mode == PenaltyLayout::Sparse && budget_bytes.is_some_and(|budget| full_bytes > budget);
+        let streaming = budget_bytes.is_some_and(|budget| full_bytes > budget);
 
         // Reverse CSR (skipped entirely in streaming mode).
         let (mut rev_off, mut rev_pairs) = (Vec::new(), Vec::new());
@@ -308,7 +246,6 @@ impl PenaltyArena {
             n_vhos: v,
             n_links,
             n_windows,
-            mode,
             streaming,
             data: vec![0.0; n_rows_stored * v],
             row_slot,
@@ -335,14 +272,9 @@ impl PenaltyArena {
 
     /// An arena already reflecting `duals` (from-scratch rebuild; the
     /// reference point the incremental path must match bitwise).
-    pub fn for_duals(
-        inst: &MipInstance,
-        layout: &RowLayout,
-        duals: &Duals,
-        kernel: Kernel,
-    ) -> Self {
+    pub fn for_duals(inst: &MipInstance, layout: &RowLayout, duals: &Duals) -> Self {
         let mut arena = Self::new(inst, layout);
-        arena.update(inst, layout, duals, kernel);
+        arena.update(layout, duals);
         arena
     }
 
@@ -353,18 +285,11 @@ impl PenaltyArena {
     /// bitwise row comparison → only rows whose dual actually changed
     /// mark entries dirty (incremental mode) or trigger their window's
     /// streaming rebuild. Dirty entries are re-summed from scratch in
-    /// path order (see the module invariant): the scalar backend walks
-    /// `inst.paths` with per-link row lookups (the reference shape),
-    /// the lane backends stream the CSR link lists against the
-    /// window's contiguous dual slice — same additions, same order,
-    /// batched memory access.
-    pub fn update(
-        &mut self,
-        inst: &MipInstance,
-        layout: &RowLayout,
-        duals: &Duals,
-        kernel: Kernel,
-    ) -> PenaltyUpdate {
+    /// path order (see the module invariant) by streaming the CSR link
+    /// lists against the window's contiguous dual slice — the naive
+    /// per-link row lookups' additions in the same order, with batched
+    /// memory access.
+    pub fn update(&mut self, layout: &RowLayout, duals: &Duals) -> PenaltyUpdate {
         assert_eq!(duals.rows.len(), layout.n_rows(), "dual row count mismatch");
         if duals.version() != 0 && duals.version() == self.last.version() {
             return PenaltyUpdate::SkippedVersion;
@@ -387,7 +312,7 @@ impl PenaltyArena {
                     }
                 }
                 if any {
-                    resummed += self.resum_window(inst, layout, duals, kernel, t);
+                    resummed += self.resum_window(layout, duals, t);
                 }
                 continue;
             }
@@ -407,8 +332,8 @@ impl PenaltyArena {
                 changed_rows += 1;
                 let (s, e) = (self.rev_off[l] as usize, self.rev_off[l + 1] as usize);
                 for &pair in &self.rev_pairs[s..e] {
-                    // Skip pairs whose client row is not stored (sparse
-                    // layout): nothing to maintain, reads recompute.
+                    // Skip pairs whose client row is not stored: nothing
+                    // to maintain, reads recompute.
                     if self.row_slot[t * v + pair as usize / v] == NO_ROW {
                         continue;
                     }
@@ -419,45 +344,21 @@ impl PenaltyArena {
                     }
                 }
             }
-            match kernel {
-                Kernel::Scalar => {
-                    for &pair in &self.dirty[..dirty_len] {
-                        let (j, i) = (pair as usize / v, pair as usize % v);
-                        let slot = self.row_slot[t * v + j] as usize;
-                        // lint:allow(raw-index): the packed pair index is dense
-                        // over VHO indices by construction of the reverse index
-                        let iv = vod_model::VhoId::from_index(i);
-                        // lint:allow(raw-index): same dense-pair decoding
-                        let jv = vod_model::VhoId::from_index(j);
-                        let sum: f64 = inst
-                            .paths
-                            .path(iv, jv)
-                            .iter()
-                            .map(|&l| duals.rows[layout.link_row(l, t)])
-                            .sum();
-                        self.data[slot * v + i] = sum;
-                    }
-                }
-                _ => {
-                    // Gather once: the window's link-dual rows are one
-                    // contiguous slice of the dual vector
-                    // (`link_row(l, t) = disk_rows + t·L + l`). Stream
-                    // every dirty pair's path through it and scatter
-                    // the sums back — `w[l]` is bitwise the same value
-                    // the scalar path reads via `link_row`, summed in
-                    // the same path order.
-                    let w0 = layout.link_row(LinkId::from_index(0), t);
-                    let w = &duals.rows[w0..w0 + self.n_links];
-                    for &pair in &self.dirty[..dirty_len] {
-                        let (j, i) = (pair as usize / v, pair as usize % v);
-                        let slot = self.row_slot[t * v + j] as usize;
-                        let (s, e) = (
-                            self.plinks_off[pair as usize] as usize,
-                            self.plinks_off[pair as usize + 1] as usize,
-                        );
-                        self.data[slot * v + i] = kernel::gather_sum(&self.plinks[s..e], w);
-                    }
-                }
+            // Gather once: the window's link-dual rows are one
+            // contiguous slice of the dual vector (`link_row(l, t) =
+            // disk_rows + t·L + l`). Stream every dirty pair's path
+            // through it and scatter the sums back — `w[l]` is bitwise
+            // the value a `link_row` lookup reads, summed in path order.
+            let w0 = layout.link_row(LinkId::from_index(0), t);
+            let w = &duals.rows[w0..w0 + self.n_links];
+            for &pair in &self.dirty[..dirty_len] {
+                let (j, i) = (pair as usize / v, pair as usize % v);
+                let slot = self.row_slot[t * v + j] as usize;
+                let (s, e) = (
+                    self.plinks_off[pair as usize] as usize,
+                    self.plinks_off[pair as usize + 1] as usize,
+                );
+                self.data[slot * v + i] = kernel::gather_sum(&self.plinks[s..e], w);
             }
             resummed += dirty_len;
         }
@@ -472,64 +373,32 @@ impl PenaltyArena {
 
     /// Streaming rebuild of one window: re-sum every stored row from
     /// scratch in path order. Returns the number of entries resummed.
-    fn resum_window(
-        &mut self,
-        inst: &MipInstance,
-        layout: &RowLayout,
-        duals: &Duals,
-        kernel: Kernel,
-        t: usize,
-    ) -> usize {
+    fn resum_window(&mut self, layout: &RowLayout, duals: &Duals, t: usize) -> usize {
         let v = self.n_vhos;
         let (lo, hi) = (self.row_off[t] as usize, self.row_off[t + 1] as usize);
-        match kernel {
-            Kernel::Scalar => {
-                for slot in lo..hi {
-                    let j = self.slot_client[slot] as usize;
-                    // lint:allow(raw-index): slot_client stores dense VHO indices
-                    let jv = vod_model::VhoId::from_index(j);
-                    for i in 0..v {
-                        if i == j {
-                            continue;
-                        }
-                        // lint:allow(raw-index): dense VHO decoding as above
-                        let iv = vod_model::VhoId::from_index(i);
-                        let sum: f64 = inst
-                            .paths
-                            .path(iv, jv)
-                            .iter()
-                            .map(|&l| duals.rows[layout.link_row(l, t)])
-                            .sum();
-                        self.data[slot * v + i] = sum;
-                    }
+        let w0 = layout.link_row(LinkId::from_index(0), t);
+        let w = &duals.rows[w0..w0 + self.n_links];
+        for slot in lo..hi {
+            let j = self.slot_client[slot] as usize;
+            for i in 0..v {
+                if i == j {
+                    continue;
                 }
-            }
-            _ => {
-                let w0 = layout.link_row(LinkId::from_index(0), t);
-                let w = &duals.rows[w0..w0 + self.n_links];
-                for slot in lo..hi {
-                    let j = self.slot_client[slot] as usize;
-                    for i in 0..v {
-                        if i == j {
-                            continue;
-                        }
-                        let pair = j * v + i;
-                        let (s, e) = (
-                            self.plinks_off[pair] as usize,
-                            self.plinks_off[pair + 1] as usize,
-                        );
-                        self.data[slot * v + i] = kernel::gather_sum(&self.plinks[s..e], w);
-                    }
-                }
+                let pair = j * v + i;
+                let (s, e) = (
+                    self.plinks_off[pair] as usize,
+                    self.plinks_off[pair + 1] as usize,
+                );
+                self.data[slot * v + i] = kernel::gather_sum(&self.plinks[s..e], w);
             }
         }
         (hi - lo) * v
     }
 
     /// Penalty of serving client `j` from server `i` in window `t`.
-    /// Stored rows read the arena; an inactive `(t, j)` row (sparse
-    /// layout only) recomputes the same path-order sum on demand from
-    /// the current snapshot — bitwise the value a dense arena stores.
+    /// Stored rows read the arena; an inactive `(t, j)` row recomputes
+    /// the same path-order sum on demand from the current snapshot —
+    /// bitwise the value a stored row would hold.
     #[inline]
     pub fn at(&self, t: usize, i: usize, j: usize) -> f64 {
         let v = self.n_vhos;
@@ -552,8 +421,7 @@ impl PenaltyArena {
 
     /// Client `j`'s contiguous penalty row over all servers in window
     /// `t` — the slice `build_ufl_into` streams through the kernels.
-    /// The row must be stored: always true in the dense layout, and
-    /// true for every demand-active `(t, j)` in the sparse layout —
+    /// The row must be stored: true for every demand-active `(t, j)` —
     /// which is every row the hot paths read.
     #[inline]
     pub fn client_row(&self, t: usize, j: usize) -> &[f64] {
@@ -561,7 +429,7 @@ impl PenaltyArena {
         let slot = self.row_slot[t * v + j];
         debug_assert!(
             slot != NO_ROW,
-            "client_row({t}, {j}) on a row the sparse arena does not store"
+            "client_row({t}, {j}) on a row the arena does not store"
         );
         let base = slot as usize * v;
         &self.data[base..base + v]
@@ -571,21 +439,6 @@ impl PenaltyArena {
     #[inline]
     pub fn row_stored(&self, t: usize, j: usize) -> bool {
         self.row_slot[t * self.n_vhos + j] != NO_ROW
-    }
-
-    /// The flat `V×V` matrix of one window, **client-major**:
-    /// `window(t)[j·V + i]` is the penalty of serving `j` from `i`.
-    /// Dense layout only (sparse arenas do not store a contiguous
-    /// window) — test/validation surface, not a hot path.
-    #[inline]
-    pub fn window(&self, t: usize) -> &[f64] {
-        assert_eq!(
-            self.mode,
-            PenaltyLayout::Dense,
-            "window() requires the dense layout"
-        );
-        let v2 = self.n_vhos * self.n_vhos;
-        &self.data[t * v2..(t + 1) * v2]
     }
 
     /// The dual snapshot the arena currently reflects — the one every
@@ -605,12 +458,6 @@ impl PenaltyArena {
         self.n_vhos
     }
 
-    /// The configured layout.
-    #[inline]
-    pub fn layout_mode(&self) -> PenaltyLayout {
-        self.mode
-    }
-
     /// Whether the memory budget degraded this arena to streaming
     /// window rebuilds (reverse index dropped).
     #[inline]
@@ -618,14 +465,14 @@ impl PenaltyArena {
         self.streaming
     }
 
-    /// Stored rows (≤ `T·V`; equal to it in the dense layout).
+    /// Stored rows (≤ `T·V`).
     #[inline]
     pub fn stored_rows(&self) -> usize {
         self.slot_client.len()
     }
 
     /// Approximate heap bytes held by the arena (reported through
-    /// `EpfStats::approx_bytes`) — every sparse structure included.
+    /// `EpfStats::approx_bytes`) — every index structure included.
     pub fn approx_bytes(&self) -> usize {
         self.data.capacity() * 8
             + (self.rev_off.capacity()
@@ -670,12 +517,10 @@ mod tests {
         inst: &MipInstance,
         layout: &RowLayout,
         duals: &Duals,
-        mode: PenaltyLayout,
-        kernel: Kernel,
         budget: Option<usize>,
     ) -> PenaltyArena {
-        let mut arena = PenaltyArena::with_layout(inst, layout, mode, budget);
-        arena.update(inst, layout, duals, kernel);
+        let mut arena = PenaltyArena::with_budget(inst, layout, budget);
+        arena.update(layout, duals);
         arena
     }
 
@@ -707,41 +552,17 @@ mod tests {
     #[test]
     fn rebuild_matches_reference() {
         let (inst, layout, duals) = setup();
-        for &k in Kernel::all() {
-            let arena = arena_with(&inst, &layout, &duals, PenaltyLayout::Dense, k, None);
-            let reference = reference_matrices(&inst, &layout, &duals);
-            for (t, want) in reference.iter().enumerate() {
-                assert_eq!(
-                    arena.window(t),
-                    want.as_slice(),
-                    "window {t} ({})",
-                    k.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_reads_match_dense_bitwise() {
-        let (inst, layout, duals) = setup();
+        let arena = arena_with(&inst, &layout, &duals, None);
+        let reference = reference_matrices(&inst, &layout, &duals);
         let v = inst.n_vhos();
-        for &k in Kernel::all() {
-            let dense = arena_with(&inst, &layout, &duals, PenaltyLayout::Dense, k, None);
-            let sparse = arena_with(&inst, &layout, &duals, PenaltyLayout::Sparse, k, None);
-            assert!(sparse.stored_rows() <= dense.stored_rows());
-            for t in 0..layout.n_windows {
-                for j in 0..v {
-                    for i in 0..v {
-                        assert_eq!(
-                            dense.at(t, i, j).to_bits(),
-                            sparse.at(t, i, j).to_bits(),
-                            "at({t},{i},{j}) ({})",
-                            k.name()
-                        );
-                    }
-                    if sparse.row_stored(t, j) {
-                        assert_eq!(dense.client_row(t, j), sparse.client_row(t, j));
-                    }
+        for (t, want) in reference.iter().enumerate() {
+            for j in 0..v {
+                for i in 0..v {
+                    assert_eq!(
+                        arena.at(t, i, j).to_bits(),
+                        want[j * v + i].to_bits(),
+                        "at({t},{i},{j})"
+                    );
                 }
             }
         }
@@ -751,23 +572,9 @@ mod tests {
     fn streaming_degrade_matches_incremental_bitwise() {
         let (inst, layout, duals) = setup();
         // A 1-byte budget forces the streaming degrade.
-        let streaming = arena_with(
-            &inst,
-            &layout,
-            &duals,
-            PenaltyLayout::Sparse,
-            Kernel::Chunked,
-            Some(1),
-        );
+        let streaming = arena_with(&inst, &layout, &duals, Some(1));
         assert!(streaming.is_streaming());
-        let full = arena_with(
-            &inst,
-            &layout,
-            &duals,
-            PenaltyLayout::Sparse,
-            Kernel::Chunked,
-            None,
-        );
+        let full = arena_with(&inst, &layout, &duals, None);
         assert!(!full.is_streaming());
         assert!(streaming.approx_bytes() < full.approx_bytes());
         let v = inst.n_vhos();
@@ -787,19 +594,17 @@ mod tests {
     #[test]
     fn at_and_client_row_agree() {
         let (inst, layout, duals) = setup();
-        for mode in [PenaltyLayout::Dense, PenaltyLayout::Sparse] {
-            let arena = arena_with(&inst, &layout, &duals, mode, Kernel::Chunked, None);
-            let v = inst.n_vhos();
-            for t in 0..layout.n_windows {
-                for j in 0..v {
-                    if !arena.row_stored(t, j) {
-                        continue;
-                    }
-                    let row = arena.client_row(t, j);
-                    assert_eq!(row.len(), v);
-                    for (i, &x) in row.iter().enumerate() {
-                        assert_eq!(x.to_bits(), arena.at(t, i, j).to_bits());
-                    }
+        let arena = arena_with(&inst, &layout, &duals, None);
+        let v = inst.n_vhos();
+        for t in 0..layout.n_windows {
+            for j in 0..v {
+                if !arena.row_stored(t, j) {
+                    continue;
+                }
+                let row = arena.client_row(t, j);
+                assert_eq!(row.len(), v);
+                for (i, &x) in row.iter().enumerate() {
+                    assert_eq!(x.to_bits(), arena.at(t, i, j).to_bits());
                 }
             }
         }
@@ -809,16 +614,16 @@ mod tests {
     fn version_skip_on_same_snapshot() {
         let (inst, layout, duals) = setup();
         let mut arena = PenaltyArena::new(&inst, &layout);
-        let first = arena.update(&inst, &layout, &duals, Kernel::Chunked);
+        let first = arena.update(&layout, &duals);
         assert!(matches!(first, PenaltyUpdate::Applied { .. }));
         // Same snapshot (clone): skipped without any row comparison.
-        let again = arena.update(&inst, &layout, &duals.clone(), Kernel::Chunked);
+        let again = arena.update(&layout, &duals.clone());
         assert_eq!(again, PenaltyUpdate::SkippedVersion);
         // A bumped clone with identical values is re-compared but
         // resums nothing.
         let mut bumped = duals.clone();
         bumped.bump_version();
-        match arena.update(&inst, &layout, &bumped, Kernel::Chunked) {
+        match arena.update(&layout, &bumped) {
             PenaltyUpdate::Applied {
                 changed_rows,
                 resummed,
@@ -833,69 +638,70 @@ mod tests {
     #[test]
     fn incremental_update_matches_rebuild_after_row_change() {
         let (inst, layout, duals) = setup();
-        for mode in [PenaltyLayout::Dense, PenaltyLayout::Sparse] {
-            for &k in Kernel::all() {
-                let mut arena = arena_with(&inst, &layout, &duals, mode, k, None);
-                // Perturb a couple of link rows (and one disk row, which
-                // must not affect penalties at all).
-                let mut perturbed = duals.clone();
-                perturbed.rows[0] *= 3.0; // disk row
-                let link_row0 = layout.link_row(LinkId::new(0), 0);
-                perturbed.rows[link_row0] += 0.125;
-                if layout.n_windows > 1 {
-                    let r = layout.link_row(LinkId::new(1), 1);
-                    perturbed.rows[r] *= 0.5;
+        let mut arena = arena_with(&inst, &layout, &duals, None);
+        // Perturb a couple of link rows (and one disk row, which must
+        // not affect penalties at all).
+        let mut perturbed = duals.clone();
+        perturbed.rows[0] *= 3.0; // disk row
+        let link_row0 = layout.link_row(LinkId::new(0), 0);
+        perturbed.rows[link_row0] += 0.125;
+        if layout.n_windows > 1 {
+            let r = layout.link_row(LinkId::new(1), 1);
+            perturbed.rows[r] *= 0.5;
+        }
+        perturbed.bump_version();
+        let upd = arena.update(&layout, &perturbed);
+        let fresh = PenaltyArena::for_duals(&inst, &layout, &perturbed);
+        let v = inst.n_vhos();
+        for t in 0..layout.n_windows {
+            for j in 0..v {
+                if !arena.row_stored(t, j) {
+                    continue;
                 }
-                perturbed.bump_version();
-                let upd = arena.update(&inst, &layout, &perturbed, k);
-                let fresh = arena_with(&inst, &layout, &perturbed, mode, k, None);
-                let v = inst.n_vhos();
-                for t in 0..layout.n_windows {
-                    for j in 0..v {
-                        if !arena.row_stored(t, j) {
-                            continue;
-                        }
-                        assert_eq!(
-                            arena.client_row(t, j),
-                            fresh.client_row(t, j),
-                            "window {t} client {j} ({}, {:?})",
-                            k.name(),
-                            mode
-                        );
-                    }
-                }
-                match upd {
-                    PenaltyUpdate::Applied {
-                        changed_rows,
-                        resummed,
-                    } => {
-                        // Only the touched link rows count; the resummed
-                        // pairs are exactly those routed over the changed
-                        // links (and stored).
-                        assert!((1..=2).contains(&changed_rows), "{changed_rows}");
-                        assert!(resummed > 0);
-                        let total_entries = layout.n_windows * inst.n_vhos() * inst.n_vhos();
-                        assert!(
-                            resummed < total_entries,
-                            "incremental update resummed everything ({resummed}/{total_entries})"
-                        );
-                    }
-                    other => panic!("expected Applied, got {other:?}"),
-                }
+                assert_eq!(
+                    arena.client_row(t, j),
+                    fresh.client_row(t, j),
+                    "window {t} client {j}"
+                );
             }
+        }
+        match upd {
+            PenaltyUpdate::Applied {
+                changed_rows,
+                resummed,
+            } => {
+                // Only the touched link rows count; the resummed pairs
+                // are exactly those routed over the changed links (and
+                // stored).
+                assert!((1..=2).contains(&changed_rows), "{changed_rows}");
+                assert!(resummed > 0);
+                let total_entries = layout.n_windows * inst.n_vhos() * inst.n_vhos();
+                assert!(
+                    resummed < total_entries,
+                    "incremental update resummed everything ({resummed}/{total_entries})"
+                );
+            }
+            other => panic!("expected Applied, got {other:?}"),
         }
     }
 
     #[test]
     fn zero_arena_reflects_zero_duals() {
         let (inst, layout, _) = setup();
-        let mut arena = PenaltyArena::with_layout(&inst, &layout, PenaltyLayout::Dense, None);
-        assert!(arena.window(0).iter().all(|&x| x == 0.0));
+        let mut arena = PenaltyArena::new(&inst, &layout);
+        let v = inst.n_vhos();
+        for t in 0..layout.n_windows {
+            for j in 0..v {
+                for i in 0..v {
+                    assert_eq!(arena.at(t, i, j), 0.0);
+                }
+            }
+        }
         assert_eq!(arena.duals().obj, 1.0);
         // Updating with an explicit zero snapshot compares equal
         // everywhere and resums nothing.
         let zeros = Duals::new(vec![0.0; layout.n_rows()], 1.0);
-        match arena.update(&inst, &layout, &zeros, Kernel::Chunked) {
+        match arena.update(&layout, &zeros) {
             PenaltyUpdate::Applied {
                 changed_rows,
                 resummed,
@@ -907,39 +713,11 @@ mod tests {
     }
 
     #[test]
-    fn layout_names_round_trip() {
-        for mode in [PenaltyLayout::Dense, PenaltyLayout::Sparse] {
-            assert_eq!(PenaltyLayout::from_name(mode.name()), Some(mode));
-        }
-        assert_eq!(PenaltyLayout::from_name("bogus"), None);
-        assert_ne!(
-            PenaltyLayout::Dense.tag(),
-            PenaltyLayout::Sparse.tag(),
-            "fingerprint tags must differ"
-        );
-    }
-
-    #[test]
     fn approx_bytes_counts_arena() {
         let (inst, layout, duals) = setup();
-        let arena = arena_with(
-            &inst,
-            &layout,
-            &duals,
-            PenaltyLayout::Dense,
-            Kernel::Chunked,
-            None,
-        );
+        let arena = arena_with(&inst, &layout, &duals, None);
         let v = inst.n_vhos();
-        assert!(arena.approx_bytes() >= layout.n_windows * v * v * 8);
-        let sparse = arena_with(
-            &inst,
-            &layout,
-            &duals,
-            PenaltyLayout::Sparse,
-            Kernel::Chunked,
-            None,
-        );
-        assert!(sparse.approx_bytes() >= sparse.stored_rows() * v * 8);
+        assert!(arena.stored_rows() <= layout.n_windows * v);
+        assert!(arena.approx_bytes() >= arena.stored_rows() * v * 8);
     }
 }

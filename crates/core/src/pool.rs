@@ -26,7 +26,6 @@
 use crate::block::{UflProblem, UflScratch, UflSolution};
 use crate::epf::{block_delta, build_ufl_into};
 use crate::instance::MipInstance;
-use crate::kernel::Kernel;
 use crate::penalty::{PenaltyArena, PenaltyUpdate};
 use crate::potential::{Duals, RowLayout};
 use crate::solution::BlockSolution;
@@ -120,7 +119,6 @@ pub(crate) struct WorkerPool<'env> {
     inst: &'env MipInstance,
     layout: RowLayout,
     arena: &'env RwLock<PenaltyArena>,
-    kernel: Kernel,
     txs: Vec<mpsc::Sender<Job>>,
     rx: mpsc::Receiver<(usize, JobOutput)>,
     /// Scratch for the inline (small-dispatch / single-thread) path.
@@ -138,7 +136,6 @@ impl<'env> WorkerPool<'env> {
         inst: &'env MipInstance,
         layout: RowLayout,
         arena: &'env RwLock<PenaltyArena>,
-        kernel: Kernel,
     ) -> Self {
         let (res_tx, rx) = mpsc::channel();
         let mut txs = Vec::new();
@@ -146,7 +143,7 @@ impl<'env> WorkerPool<'env> {
             for _ in 0..threads {
                 let (tx, job_rx) = mpsc::channel::<Job>();
                 let res_tx = res_tx.clone();
-                scope.spawn(move || worker_loop(inst, layout, arena, kernel, &job_rx, &res_tx));
+                scope.spawn(move || worker_loop(inst, layout, arena, &job_rx, &res_tx));
                 txs.push(tx);
             }
         }
@@ -154,7 +151,6 @@ impl<'env> WorkerPool<'env> {
             inst,
             layout,
             arena,
-            kernel,
             txs,
             rx,
             inline: RefCell::new(BlockScratch::default()),
@@ -167,7 +163,7 @@ impl<'env> WorkerPool<'env> {
         self.arena
             .write()
             .expect("penalty arena lock poisoned") // lint:allow(no-panic-hot-path): poisoned lock implies a worker panic; re-raise it
-            .update(self.inst, &self.layout, duals, self.kernel)
+            .update(&self.layout, duals)
     }
 
     /// Read access to the current penalty arena (callers must drop the
@@ -238,7 +234,6 @@ impl<'env> WorkerPool<'env> {
                 self.inst,
                 &self.layout,
                 &arena,
-                self.kernel,
                 kind,
                 items,
                 &mut scratch,
@@ -270,7 +265,6 @@ fn worker_loop(
     inst: &MipInstance,
     layout: RowLayout,
     arena: &RwLock<PenaltyArena>,
-    kernel: Kernel,
     jobs: &mpsc::Receiver<Job>,
     results: &mpsc::Sender<(usize, JobOutput)>,
 ) {
@@ -278,15 +272,7 @@ fn worker_loop(
     while let Ok(job) = jobs.recv() {
         let out = {
             let arena = arena.read().expect("penalty arena lock poisoned"); // lint:allow(no-panic-hot-path): poisoned lock implies a worker panic; re-raise it
-            exec_job(
-                inst,
-                &layout,
-                &arena,
-                kernel,
-                job.kind,
-                &job.items,
-                &mut scratch,
-            )
+            exec_job(inst, &layout, &arena, job.kind, &job.items, &mut scratch)
         };
         if results.send((job.part, out)).is_err() {
             return; // pool gone; nothing left to report to
@@ -300,7 +286,6 @@ fn exec_job(
     inst: &MipInstance,
     layout: &RowLayout,
     arena: &PenaltyArena,
-    kernel: Kernel,
     kind: JobKind,
     items: &[usize],
     scratch: &mut BlockScratch,
@@ -317,11 +302,10 @@ fn exec_job(
                         arena.duals(),
                         arena,
                         &mut scratch.ufl,
-                        kernel,
                     );
                     scratch
                         .ufl
-                        .solve_local_search_fast_with_kernel(&mut scratch.search, kernel)
+                        .solve_local_search_fast_with(&mut scratch.search)
                 })
                 .collect(),
         ),
@@ -336,14 +320,11 @@ fn exec_job(
                         arena.duals(),
                         arena,
                         &mut scratch.ufl,
-                        kernel,
                     );
                     if exact {
                         crate::direct::exact_block_lp(&scratch.ufl)
                     } else {
-                        scratch
-                            .ufl
-                            .dual_ascent_bound_with_kernel(&mut scratch.search, kernel)
+                        scratch.ufl.dual_ascent_bound_with(&mut scratch.search)
                     }
                 })
                 .collect(),
@@ -353,18 +334,10 @@ fn exec_job(
                 .iter()
                 .map(|&m| {
                     let data = &inst.blocks()[m];
-                    build_ufl_into(
-                        inst,
-                        layout,
-                        data,
-                        arena.duals(),
-                        arena,
-                        &mut scratch.ufl,
-                        kernel,
-                    );
+                    build_ufl_into(inst, layout, data, arena.duals(), arena, &mut scratch.ufl);
                     // Both solvers run on this build: fuse their
                     // seeding passes (column sums + row minima).
-                    scratch.ufl.precompute_lane_aux(kernel);
+                    scratch.ufl.precompute_lane_aux();
                     let empty = BlockSolution {
                         y: Vec::new(),
                         x: vec![Vec::new(); data.clients.len()],
@@ -385,13 +358,11 @@ fn exec_job(
                     let lb = if exact {
                         crate::direct::exact_block_lp(&scratch.ufl)
                     } else {
-                        scratch
-                            .ufl
-                            .dual_ascent_bound_with_kernel(&mut scratch.search, kernel)
+                        scratch.ufl.dual_ascent_bound_with(&mut scratch.search)
                     };
                     let sol = scratch
                         .ufl
-                        .solve_local_search_fast_with_kernel(&mut scratch.search, kernel);
+                        .solve_local_search_fast_with(&mut scratch.search);
                     let hat = BlockSolution::from_ufl(&sol);
                     let (usage, _dobj) = block_delta(inst, layout, data, &empty, &hat);
                     (lb, usage)

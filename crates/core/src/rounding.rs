@@ -35,11 +35,16 @@ pub struct RoundingStats {
 }
 
 /// Round a fractional solution into a [`Placement`].
+///
+/// The [`Kernel`] argument is a retired backend selector: a field-less
+/// marker that nothing reads. It remains so that callers passing
+/// `cfg.kernel` still compile, and goes away together with
+/// `EpfConfig::kernel`.
 pub fn round_solution(
     inst: &MipInstance,
     fractional: &FractionalSolution,
     gamma: f64,
-    kernel: Kernel,
+    _kernel: Kernel,
 ) -> (Placement, RoundingStats) {
     let layout = layout_of(inst);
     let mut blocks: Vec<BlockSolution> = fractional.blocks.clone();
@@ -71,7 +76,7 @@ pub fn round_solution(
         // penalties are priced *before* this block's own contribution
         // is removed (incremental: only rows the previous rounding
         // touched get re-summed).
-        arena.update(inst, &layout, &coupling.duals(), kernel);
+        arena.update(&layout, &coupling.duals());
         let data = &inst.blocks()[m];
         // Remove this block's fractional contribution so the UFL sees
         // the load of everyone else.
@@ -83,8 +88,8 @@ pub fn round_solution(
         coupling.apply(&deltas_out, dobj_out, 1.0);
 
         let duals_now = coupling.duals();
-        build_ufl_into(inst, &layout, data, &duals_now, &arena, &mut ufl, kernel);
-        let cand = ufl.solve_local_search_with_kernel(&mut scratch, kernel);
+        build_ufl_into(inst, &layout, data, &duals_now, &arena, &mut ufl);
+        let cand = ufl.solve_local_search_with(&mut scratch);
         let hat = BlockSolution::from_ufl(&cand);
         let (deltas_in, dobj_in) = block_delta(inst, &layout, data, &empty, &hat);
         coupling.apply(&deltas_in, dobj_in, 1.0);
@@ -109,7 +114,7 @@ pub fn round_solution(
     {
         let (usage, obj) = compute_state(inst, &layout, &blocks);
         coupling.set_state(usage, obj);
-        arena.update(inst, &layout, &coupling.duals(), kernel);
+        arena.update(&layout, &coupling.duals());
         let mut costs = Vec::new();
         for (m, data) in inst.blocks().iter().enumerate() {
             let better = crate::epf::greedy_x_given_y(inst, data, &blocks[m].y, &arena, &mut costs);
@@ -309,7 +314,7 @@ mod tests {
             ..Default::default()
         };
         let (frac, _) = solve_fractional(&inst, &cfg);
-        let (placement, stats) = round_solution(&inst, &frac, cfg.gamma, cfg.kernel);
+        let (placement, stats) = round_solution(&inst, &frac, cfg.gamma, Kernel);
         assert_eq!(placement.n_videos(), inst.n_videos());
         for m in inst.catalog.ids() {
             assert!(
@@ -336,7 +341,7 @@ mod tests {
             ..Default::default()
         };
         let (frac, stats) = solve_fractional(&inst, &cfg);
-        let (_, rstats) = round_solution(&inst, &frac, cfg.gamma, cfg.kernel);
+        let (_, rstats) = round_solution(&inst, &frac, cfg.gamma, Kernel);
         if stats.converged {
             let gap = rstats.optimality_gap.expect("bound exists");
             assert!(gap >= -1e-6, "objective below a valid lower bound: {gap}");
@@ -364,7 +369,7 @@ mod tests {
                 }
             })
             .collect();
-        let (placement, _) = round_solution(&inst, &frac, cfg.gamma, cfg.kernel);
+        let (placement, _) = round_solution(&inst, &frac, cfg.gamma, Kernel);
         // The integer re-solve must not touch already-integral videos;
         // only the final disk-repair pass may *shrink or move* their
         // copy sets (never below one copy). So: each pre-integral
@@ -403,7 +408,7 @@ mod tests {
             ..Default::default()
         };
         let (frac, _) = solve_fractional(&inst, &cfg);
-        let (placement, stats) = round_solution(&inst, &frac, cfg.gamma, cfg.kernel);
+        let (placement, stats) = round_solution(&inst, &frac, cfg.gamma, Kernel);
         // After the repair pass, disk violations specifically should be
         // (close to) zero; remaining violation, if any, is on links.
         let usage = placement.disk_usage(&inst.catalog);

@@ -14,6 +14,7 @@ use crate::epf::{
 };
 use crate::error::SolveError;
 use crate::instance::MipInstance;
+use crate::kernel::Kernel;
 use crate::rounding::{round_solution, RoundingStats};
 use crate::solution::{FractionalSolution, Placement};
 
@@ -76,7 +77,7 @@ fn validate(inst: &MipInstance, cfg: &EpfConfig) -> Result<(), SolveError> {
 pub fn solve_placement(inst: &MipInstance, cfg: &EpfConfig) -> Result<PlacementOutput, SolveError> {
     validate(inst, cfg)?;
     let (fractional, epf) = solve_fractional_seeded(inst, cfg, None);
-    let (placement, rounding) = round_solution(inst, &fractional, cfg.gamma, cfg.kernel);
+    let (placement, rounding) = round_solution(inst, &fractional, cfg.gamma, Kernel);
     Ok(PlacementOutput {
         placement,
         fractional,
@@ -104,7 +105,7 @@ pub fn resolve_from(
         });
     }
     let (fractional, epf) = solve_fractional_seeded(inst, cfg, Some(prev));
-    let (placement, rounding) = round_solution(inst, &fractional, cfg.gamma, cfg.kernel);
+    let (placement, rounding) = round_solution(inst, &fractional, cfg.gamma, Kernel);
     Ok(PlacementOutput {
         placement,
         fractional,
@@ -125,7 +126,7 @@ pub fn solve_placement_checkpointed(
 ) -> Result<PlacementOutput, SolveError> {
     validate(inst, cfg)?;
     let (fractional, epf) = solve_fractional_driven(inst, cfg, None, None, Some(spec));
-    let (placement, rounding) = round_solution(inst, &fractional, cfg.gamma, cfg.kernel);
+    let (placement, rounding) = round_solution(inst, &fractional, cfg.gamma, Kernel);
     Ok(PlacementOutput {
         placement,
         fractional,
@@ -148,7 +149,7 @@ pub fn solve_resumable(
     ckpt.validate_for(inst, cfg)
         .map_err(|what| SolveError::MismatchedCheckpoint { what })?;
     let (fractional, epf) = solve_fractional_driven(inst, cfg, None, Some(ckpt), spec);
-    let (placement, rounding) = round_solution(inst, &fractional, cfg.gamma, cfg.kernel);
+    let (placement, rounding) = round_solution(inst, &fractional, cfg.gamma, Kernel);
     Ok(PlacementOutput {
         placement,
         fractional,

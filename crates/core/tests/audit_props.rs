@@ -62,7 +62,7 @@ fn valid_solver_output_passes_audit() {
     let report = audit::check_fractional(inst, frac, frac.max_violation + INT_TOL);
     assert!(report.is_ok(), "clean solve flagged:\n{report}");
 
-    let (placement, stats) = round_solution(inst, frac, 1.0, vod_core::Kernel::Chunked);
+    let (placement, stats) = round_solution(inst, frac, 1.0, vod_core::Kernel);
     let report = audit::check_placement(inst, &placement, stats.max_violation + INT_TOL);
     assert!(report.is_ok(), "clean placement flagged:\n{report}");
 }

@@ -1,21 +1,22 @@
 //! Property tests for the incremental penalty arena: after **any**
-//! sequence of dual perturbations, the incrementally-maintained arena
-//! must be bitwise identical to a from-scratch rebuild under the final
-//! duals — in *every* layout. This is the invariant
+//! sequence of dual perturbations, every `(window, server, client)`
+//! read of the arena must be bitwise the naive path sum
+//! `Σ_{l ∈ P_ij} π_{(l,t)}` of the current duals, in path order
+//! (`oracle::penalty_sum`). This is the invariant
 //! (`crates/core/src/penalty.rs`: dirty entries are re-summed in path
 //! order, never patched with deltas) that lets the EPF hot path reuse
 //! one flat arena across tens of thousands of dual snapshots without
-//! ever drifting from the reference semantics, and it is what makes
-//! [`PenaltyLayout`] a pure memory knob: the sparse arena (and its
-//! budget-degraded streaming variant) must read bitwise-equal to the
-//! dense one at every `(window, server, client)` triple, on random
-//! topologies and random dual trajectories alike.
+//! ever drifting from the reference semantics. Reading through
+//! [`PenaltyArena::at`] covers stored rows, the on-demand recompute of
+//! inactive rows, and the budget-degraded streaming variant alike, on
+//! random topologies and random dual trajectories.
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
+mod oracle;
+
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use vod_core::penalty::{PenaltyArena, PenaltyLayout};
+use vod_core::penalty::PenaltyArena;
 use vod_core::potential::{Duals, RowLayout};
-use vod_core::Kernel;
 use vod_core::{DiskConfig, MipInstance};
 use vod_model::Mbps;
 use vod_net::topologies;
@@ -56,44 +57,39 @@ fn setup() -> &'static (MipInstance, RowLayout) {
     SETUP.get_or_init(|| build_instance(6, 40, 33))
 }
 
-/// Every `(t, i, j)` read of `a` and `b` is bitwise identical — the
-/// cross-layout equivalence the sparse arena promises.
-fn assert_reads_bitwise_equal(layout: &RowLayout, a: &PenaltyArena, b: &PenaltyArena, what: &str) {
-    let v = layout.n_vhos;
-    for t in 0..layout.n_windows {
-        for j in 0..v {
-            for i in 0..v {
-                let (x, y) = (a.at(t, i, j), b.at(t, i, j));
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "{what}: at({t},{i},{j}): {x} vs {y}"
-                );
-            }
-            if a.row_stored(t, j) && b.row_stored(t, j) {
-                assert_eq!(
-                    a.client_row(t, j),
-                    b.client_row(t, j),
-                    "{what}: row {t}/{j}"
-                );
-            }
-        }
-    }
-}
-
-fn assert_arena_matches_rebuild(
+/// Every `(t, i, j)` read of `arena` is bitwise the naive path sum
+/// under `duals`, and every stored client row agrees with those reads.
+fn assert_arena_matches_oracle(
     inst: &MipInstance,
     layout: &RowLayout,
     arena: &PenaltyArena,
     duals: &Duals,
+    what: &str,
 ) {
-    // The rebuild deliberately uses the Scalar reference backend on the
-    // *dense* layout while the incremental arena under test ran on
-    // Chunked/Sparse: this pins the rebuild invariant, cross-backend
-    // bitwise identity, and cross-layout bitwise identity at once.
-    let mut fresh = PenaltyArena::with_layout(inst, layout, PenaltyLayout::Dense, None);
-    fresh.update(inst, layout, duals, Kernel::Scalar);
-    assert_reads_bitwise_equal(layout, arena, &fresh, "incremental vs rebuild");
+    let v = layout.n_vhos;
+    for t in 0..layout.n_windows {
+        for j in 0..v {
+            for i in 0..v {
+                let got = arena.at(t, i, j);
+                let want = oracle::penalty_sum(inst, layout, duals, t, i, j);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{what}: at({t},{i},{j}): {got} vs oracle {want}"
+                );
+            }
+            if arena.row_stored(t, j) {
+                let row = arena.client_row(t, j);
+                for (i, x) in row.iter().enumerate() {
+                    assert_eq!(
+                        x.to_bits(),
+                        arena.at(t, i, j).to_bits(),
+                        "{what}: row {t}/{j}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 proptest! {
@@ -101,7 +97,7 @@ proptest! {
 
     /// Apply a random sequence of row perturbations (scales, bumps and
     /// zero-outs on random rows — link and disk alike) and check the
-    /// arena against the from-scratch dense rebuild after every update.
+    /// arena against the oracle after every update.
     #[test]
     fn incremental_matches_rebuild_after_random_perturbations(
         init in prop::collection::vec(0.0f64..2.0, 1..2),
@@ -113,9 +109,9 @@ proptest! {
         let (inst, layout) = setup();
         let n_rows = layout.n_rows();
         let mut duals = Duals::new(vec![init[0]; n_rows], 1.0);
-        let mut arena = PenaltyArena::new(inst, layout); // default Sparse
-        arena.update(inst, layout, &duals, Kernel::Chunked);
-        assert_arena_matches_rebuild(inst, layout, &arena, &duals);
+        let mut arena = PenaltyArena::new(inst, layout);
+        arena.update(layout, &duals);
+        assert_arena_matches_oracle(inst, layout, &arena, &duals, "initial");
         for &(raw_row, op, factor) in &steps {
             let row = raw_row % n_rows;
             match op {
@@ -124,45 +120,39 @@ proptest! {
                 _ => duals.rows[row] = 0.0,
             }
             duals.bump_version();
-            arena.update(inst, layout, &duals, Kernel::Chunked);
-            assert_arena_matches_rebuild(inst, layout, &arena, &duals);
+            arena.update(layout, &duals);
+            assert_arena_matches_oracle(inst, layout, &arena, &duals, "incremental");
         }
     }
 
-    /// Updating through intermediate snapshots and then jumping back to
-    /// an earlier one (values equal, version different) still lands on
-    /// the rebuild of that snapshot — path-order re-summing is
-    /// history-independent, in both layouts.
+    /// Updating through intermediate snapshots and then jumping to a
+    /// target (values equal to a straight build, version different)
+    /// still lands on the target's path sums — path-order re-summing is
+    /// history-independent, with and without the streaming degrade.
     #[test]
     fn arena_state_is_history_independent(scale in 0.5f64..3.0, detour in 1usize..5) {
         let (inst, layout) = setup();
         let n_rows = layout.n_rows();
         let target = Duals::new((0..n_rows).map(|r| scale * (r % 7) as f64).collect(), 1.0);
-        for mode in [PenaltyLayout::Dense, PenaltyLayout::Sparse] {
-            // Route A: straight to the target.
-            let mut direct = PenaltyArena::with_layout(inst, layout, mode, None);
-            direct.update(inst, layout, &target, Kernel::Scalar);
-            // Route B: detour through other snapshots first.
-            let mut wandering = PenaltyArena::with_layout(inst, layout, mode, None);
+        for (budget, what) in [(None, "incremental"), (Some(1), "streaming")] {
+            let mut wandering = PenaltyArena::with_budget(inst, layout, budget);
             for k in 0..detour {
                 let mid = Duals::new(
                     (0..n_rows).map(|r| (r + k) as f64 * 0.125).collect(),
                     1.0,
                 );
-                wandering.update(inst, layout, &mid, Kernel::Chunked);
+                wandering.update(layout, &mid);
             }
-            wandering.update(inst, layout, &target, Kernel::Chunked);
-            assert_reads_bitwise_equal(layout, &direct, &wandering, mode.name());
+            wandering.update(layout, &target);
+            assert_arena_matches_oracle(inst, layout, &wandering, &target, what);
         }
     }
 
-    /// The tentpole equivalence property: on *random topologies* and
-    /// random dual trajectories, the sparse arena — with and without
-    /// the streaming memory-budget degrade — reads bitwise-identical
-    /// to the dense arena at every `(t, i, j)`, on every kernel
-    /// backend.
+    /// On *random topologies* and random dual trajectories, the arena —
+    /// with and without the streaming memory-budget degrade — reads
+    /// bitwise the naive path sums at every `(t, i, j)`.
     #[test]
-    fn sparse_matches_dense_on_random_topologies(
+    fn arena_matches_path_sums_on_random_topologies(
         dims in (5usize..9, 20usize..40),
         seed in 0u64..500,
         steps in prop::collection::vec((0usize..1000, 0.1f64..3.0), 1..6),
@@ -170,26 +160,21 @@ proptest! {
         let (n_vhos, n_videos) = dims;
         let (inst, layout) = build_instance(n_vhos, n_videos, seed);
         let n_rows = layout.n_rows();
-        for &k in Kernel::all() {
-            let mut dense = PenaltyArena::with_layout(&inst, &layout, PenaltyLayout::Dense, None);
-            let mut sparse = PenaltyArena::with_layout(&inst, &layout, PenaltyLayout::Sparse, None);
-            // A 1-byte budget always degrades to streaming rebuilds.
-            let mut streaming =
-                PenaltyArena::with_layout(&inst, &layout, PenaltyLayout::Sparse, Some(1));
-            prop_assert!(streaming.is_streaming());
-            prop_assert!(!sparse.is_streaming());
-            prop_assert!(sparse.stored_rows() <= dense.stored_rows());
-            prop_assert!(sparse.approx_bytes() <= dense.approx_bytes());
-            let mut duals = Duals::new(vec![0.0; n_rows], 1.0);
-            for &(raw_row, bump) in &steps {
-                duals.rows[raw_row % n_rows] += bump;
-                duals.bump_version();
-                dense.update(&inst, &layout, &duals, k);
-                sparse.update(&inst, &layout, &duals, k);
-                streaming.update(&inst, &layout, &duals, k);
-                assert_reads_bitwise_equal(&layout, &sparse, &dense, k.name());
-                assert_reads_bitwise_equal(&layout, &streaming, &dense, k.name());
-            }
+        let mut full = PenaltyArena::new(&inst, &layout);
+        // A 1-byte budget always degrades to streaming rebuilds.
+        let mut streaming = PenaltyArena::with_budget(&inst, &layout, Some(1));
+        prop_assert!(streaming.is_streaming());
+        prop_assert!(!full.is_streaming());
+        prop_assert!(full.stored_rows() <= layout.n_windows * n_vhos);
+        prop_assert!(streaming.approx_bytes() < full.approx_bytes());
+        let mut duals = Duals::new(vec![0.0; n_rows], 1.0);
+        for &(raw_row, bump) in &steps {
+            duals.rows[raw_row % n_rows] += bump;
+            duals.bump_version();
+            full.update(&layout, &duals);
+            streaming.update(&layout, &duals);
+            assert_arena_matches_oracle(&inst, &layout, &full, &duals, "incremental");
+            assert_arena_matches_oracle(&inst, &layout, &streaming, &duals, "streaming");
         }
     }
 }

@@ -928,7 +928,7 @@ impl Service {
             return self.retreat(StageId::Solve, StageId::Round, cycle);
         };
         let epf = self.epf_for_cycle(cycle);
-        let (placement, stats) = round_solution(&inst, &frac, epf.gamma, epf.kernel);
+        let (placement, stats) = round_solution(&inst, &frac, epf.gamma, vod_core::Kernel);
         self.state.target = Some(placement);
         self.state.target_objective = Some(stats.objective);
         self.advance(StageId::Validate)?;
