@@ -1,6 +1,6 @@
 //! Criterion benches for the solver stack: EPF scaling with library
-//! size (Table III's shape), the direct simplex baseline, and the
-//! facility-location block solvers.
+//! size (Table III's shape), the direct simplex baseline, the
+//! facility-location block solvers and the exact block-LP certifier.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use vod_core::block::UflProblem;
 use vod_core::{direct::build_direct_lp, solve_fractional, DiskConfig, EpfConfig, MipInstance};
@@ -82,6 +82,31 @@ fn bench_block_solvers(c: &mut Criterion) {
     });
 }
 
+/// The exact per-block LP certification (`exact_block_lp`, the simplex
+/// on one UFL block's relaxation) at the largest block shape of the
+/// Table III ebone instance — 23 facilities — with 1, 8 and 23 clients,
+/// on seeded random costs: the certifier's hot call, independent of any
+/// EPF trajectory. One reused `SimplexScratch`, as in the worker pool.
+fn bench_exact_block_lp(c: &mut Criterion) {
+    use rand::Rng;
+    let mut g = c.benchmark_group("exact_block_lp");
+    g.sample_size(20);
+    let mut scratch = vod_lp::SimplexScratch::default();
+    for clients in [1usize, 8, 23] {
+        let mut rng = vod_model::rng::rng_from_seed(11);
+        let p = UflProblem::from_rows(
+            (0..23).map(|_| rng.gen_range(0.0..5.0)).collect(),
+            (0..clients)
+                .map(|_| (0..23).map(|_| rng.gen_range(0.0..10.0)).collect())
+                .collect(),
+        );
+        g.bench_with_input(BenchmarkId::new("23x", clients), &clients, |b, _| {
+            b.iter(|| vod_core::direct::exact_block_lp(&p, &mut scratch))
+        });
+    }
+    g.finish();
+}
+
 /// The Table III EPF ladder on real Rocketfuel-like topologies — the
 /// criterion twin of the tracked `solver_baseline` binary (which emits
 /// `BENCH_solver.json`); sizes are scaled down so criterion's repeated
@@ -124,6 +149,7 @@ criterion_group!(
     bench_epf_scaling,
     bench_simplex_baseline,
     bench_block_solvers,
+    bench_exact_block_lp,
     bench_table3_ladder
 );
 criterion_main!(benches);

@@ -8,8 +8,9 @@
 //! solver against exact optima on small instances and (b) as the
 //! baseline of the Table III scalability comparison.
 
+use crate::block::UflProblem;
 use crate::instance::MipInstance;
-use vod_lp::{Cmp, LinearProgram};
+use vod_lp::{Cmp, LinearProgram, SimplexScratch};
 
 /// The direct formulation plus the variable index maps needed to read
 /// a solution back.
@@ -126,10 +127,11 @@ pub fn build_direct_lp(inst: &MipInstance) -> DirectLp {
     DirectLp { lp, y_vars, x_vars }
 }
 
-/// Exact LP optimum of a single UFL block (tiny dense simplex) — used
-/// to validate/tighten the per-block dual-ascent bounds on small
-/// networks.
-pub fn exact_block_lp(p: &crate::block::UflProblem) -> f64 {
+/// The exact LP relaxation of one UFL block: the `y` columns first
+/// (`0 ≤ y_i ≤ 1`), then one dense VHO-row of `x` columns per client
+/// with `Σ_i x_ci = 1` and `x_ci ≤ y_i`; a client-less block gets the
+/// single row `Σ_i y_i ≥ 1`.
+fn block_lp(p: &UflProblem) -> LinearProgram {
     let n = p.facility_cost.len();
     let mut lp = LinearProgram::new();
     let ys: Vec<usize> = (0..n)
@@ -145,7 +147,14 @@ pub fn exact_block_lp(p: &crate::block::UflProblem) -> f64 {
     if p.n_clients() == 0 {
         lp.add_constraint(ys.iter().map(|&v| (v, 1.0)).collect(), Cmp::Ge, 1.0);
     }
-    match vod_lp::solve_lp(&lp) {
+    lp
+}
+
+/// Exact LP optimum of a single UFL block (tiny dense simplex, its
+/// tableau built in `scratch`) — used to validate/tighten the per-block
+/// dual-ascent bounds on small networks.
+pub fn exact_block_lp(p: &UflProblem, scratch: &mut SimplexScratch) -> f64 {
+    match vod_lp::solve_lp_with(&block_lp(p), scratch) {
         Ok(s) => s.objective,
         // Fall back to the always-valid combinatorial bound.
         Err(_) => p.dual_ascent_bound(),
@@ -160,26 +169,13 @@ pub fn exact_block_lp(p: &crate::block::UflProblem) -> f64 {
 /// Returns `None` when the simplex fails; callers fall back to the
 /// heuristic bound/minimizer pair.
 pub fn exact_block_lp_solution(
-    p: &crate::block::UflProblem,
+    p: &UflProblem,
+    scratch: &mut SimplexScratch,
 ) -> Option<(f64, crate::solution::BlockSolution)> {
     let n = p.facility_cost.len();
-    let mut lp = LinearProgram::new();
-    let ys: Vec<usize> = (0..n)
-        .map(|i| lp.add_var(p.facility_cost[i], Some(1.0)))
-        .collect();
-    for row in p.service_rows() {
-        let xv: Vec<usize> = (0..n).map(|i| lp.add_var(row[i], None)).collect();
-        lp.add_constraint(xv.iter().map(|&v| (v, 1.0)).collect(), Cmp::Eq, 1.0);
-        for i in 0..n {
-            lp.add_constraint(vec![(xv[i], 1.0), (ys[i], -1.0)], Cmp::Le, 0.0);
-        }
-    }
-    if p.n_clients() == 0 {
-        lp.add_constraint(ys.iter().map(|&v| (v, 1.0)).collect(), Cmp::Ge, 1.0);
-    }
-    let s = vod_lp::solve_lp(&lp).ok()?;
-    // Variable order mirrors the build above: `y` first, then one
-    // dense VHO-row of `x` per client.
+    let s = vod_lp::solve_lp_with(&block_lp(p), scratch).ok()?;
+    // Variable order mirrors `block_lp`: `y` first, then one dense
+    // VHO-row of `x` per client.
     let y: Vec<(vod_model::VhoId, f64)> = (0..n)
         .filter(|&i| s.x[i] > 1e-12)
         // lint:allow(raw-index): LP columns are dense over VHO indices

@@ -6,7 +6,8 @@
 //! for the whole solve: jobs (index lists) go out over per-worker
 //! channels, results come back over one shared channel, and every
 //! worker owns a [`BlockScratch`] (a reusable [`UflProblem`] buffer
-//! plus [`UflScratch`]) so the steady state allocates nothing.
+//! plus [`UflScratch`], and a [`SimplexScratch`] for the exact block
+//! LPs) so the steady state allocates no solver buffers.
 //!
 //! **Determinism contract.** Results are reassembled *in part order*
 //! (part `k` = the `k`-th contiguous slice of the request), and the
@@ -33,6 +34,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{RwLock, RwLockReadGuard};
+use vod_lp::SimplexScratch;
 
 /// Below this many items a dispatch runs inline on the calling thread:
 /// channel round-trips cost more than tiny chunks save.
@@ -107,11 +109,13 @@ enum JobOutput {
     Polish(Vec<(f64, Vec<(usize, f64)>)>),
 }
 
-/// Per-worker reusable state: one UFL build buffer + solver scratch.
+/// Per-worker reusable state: one UFL build buffer + solver scratch,
+/// and the simplex tableau buffer of the exact block LPs.
 #[derive(Default)]
 struct BlockScratch {
     ufl: UflProblem,
     search: UflScratch,
+    lp: SimplexScratch,
 }
 
 /// A pool of long-lived block-solver workers tied to one solve.
@@ -322,7 +326,7 @@ fn exec_job(
                         &mut scratch.ufl,
                     );
                     if exact {
-                        crate::direct::exact_block_lp(&scratch.ufl)
+                        crate::direct::exact_block_lp(&scratch.ufl, &mut scratch.lp)
                     } else {
                         scratch.ufl.dual_ascent_bound_with(&mut scratch.search)
                     }
@@ -349,14 +353,14 @@ fn exec_job(
                     // dual.
                     if exact {
                         if let Some((lb, hat)) =
-                            crate::direct::exact_block_lp_solution(&scratch.ufl)
+                            crate::direct::exact_block_lp_solution(&scratch.ufl, &mut scratch.lp)
                         {
                             let (usage, _dobj) = block_delta(inst, layout, data, &empty, &hat);
                             return (lb, usage);
                         }
                     }
                     let lb = if exact {
-                        crate::direct::exact_block_lp(&scratch.ufl)
+                        crate::direct::exact_block_lp(&scratch.ufl, &mut scratch.lp)
                     } else {
                         scratch.ufl.dual_ascent_bound_with(&mut scratch.search)
                     };

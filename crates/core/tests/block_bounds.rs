@@ -8,26 +8,8 @@
     clippy::cast_possible_truncation
 )]
 use vod_core::block::UflProblem;
-use vod_lp::{Cmp, LinearProgram};
-
-fn exact_ufl_lp(p: &UflProblem) -> f64 {
-    let n = p.facility_cost.len();
-    let mut lp = LinearProgram::new();
-    let ys: Vec<usize> = (0..n)
-        .map(|i| lp.add_var(p.facility_cost[i], Some(1.0)))
-        .collect();
-    for row in p.service_rows() {
-        let xv: Vec<usize> = (0..n).map(|i| lp.add_var(row[i], None)).collect();
-        lp.add_constraint(xv.iter().map(|&v| (v, 1.0)).collect(), Cmp::Eq, 1.0);
-        for i in 0..n {
-            lp.add_constraint(vec![(xv[i], 1.0), (ys[i], -1.0)], Cmp::Le, 0.0);
-        }
-    }
-    if p.n_clients() == 0 {
-        lp.add_constraint(ys.iter().map(|&v| (v, 1.0)).collect(), Cmp::Ge, 1.0);
-    }
-    vod_lp::solve_lp(&lp).unwrap().objective
-}
+use vod_core::direct::exact_block_lp_solution;
+use vod_lp::SimplexScratch;
 
 #[test]
 fn block_bounds_sandwich_exact_lp() {
@@ -36,6 +18,7 @@ fn block_bounds_sandwich_exact_lp() {
     let mut tot_da = 0.0;
     let mut tot_exact = 0.0;
     let mut tot_ls = 0.0;
+    let mut scratch = SimplexScratch::default();
     for _ in 0..200 {
         let n = 6;
         let c = rng.gen_range(1..7usize);
@@ -46,7 +29,7 @@ fn block_bounds_sandwich_exact_lp() {
                 .collect(),
         );
         let da = p.dual_ascent_bound();
-        let ex = exact_ufl_lp(&p);
+        let (ex, _) = exact_block_lp_solution(&p, &mut scratch).unwrap();
         let ls = p.cost(&p.solve_local_search());
         assert!(da <= ex + 1e-6, "invalid bound {da} vs exact {ex}");
         tot_da += da;

@@ -104,7 +104,7 @@ fn instance(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn epf_certificates_bracket_the_exact_lp(

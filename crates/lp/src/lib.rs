@@ -13,6 +13,14 @@
 //!    memory footprint for the generic code versus near-linear
 //!    behaviour for the decomposition.
 //!
+//! The tableau is dense in *size* — one row-major buffer of
+//! `rows × (cols + 1)` floats, which is what
+//! [`LinearProgram::tableau_bytes`] and Table III's memory model count
+//! — but each pivot eliminates only nonzero entries (see [`simplex`]),
+//! with the same pivot sequence and result bits as a full dense
+//! elimination. [`solve_lp_with`] reuses one [`SimplexScratch`] buffer
+//! across a sequence of solves; [`solve_lp`] allocates a fresh one.
+//!
 //! A simple depth-first branch-and-bound wrapper
 //! ([`branch_bound::solve_mip`]) provides exact mixed-integer optima
 //! on tiny instances, used to validate the rounding heuristic.
@@ -32,4 +40,4 @@ pub mod simplex;
 
 pub use branch_bound::{solve_mip, MipOutcome};
 pub use problem::{Cmp, LinearProgram, LpError, LpSolution};
-pub use simplex::solve_lp;
+pub use simplex::{solve_lp, solve_lp_with, SimplexScratch};

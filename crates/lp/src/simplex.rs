@@ -1,72 +1,131 @@
-//! Dense two-phase tableau simplex.
+//! Two-phase tableau simplex with sparse pivot elimination.
 //!
 //! Classical textbook implementation: standardize to `Ax = b, x ≥ 0`
-//! with slack/surplus/artificial columns, minimize the artificial sum
-//! in phase 1, then the true objective in phase 2. Entering column by
-//! Dantzig's rule, switching to Bland's rule (which provably cannot
-//! cycle) once the iteration count suggests stalling; leaving row by
-//! the minimum-ratio test with smallest-basic-variable tie-breaking.
+//! with slack/surplus/artificial columns (upper bounds become ordinary
+//! `x ≤ ub` rows), minimize the artificial sum in phase 1, then the
+//! true objective in phase 2. Entering column by Dantzig's rule,
+//! switching to Bland's rule (which provably cannot cycle) once the
+//! iteration count suggests stalling; leaving row by the minimum-ratio
+//! test with smallest-basic-variable tie-breaking.
 //!
-//! The dense tableau is exactly what makes the generic approach
-//! memory-hungry on placement LPs (Table III); that is intentional —
-//! see the crate docs.
+//! The tableau is stored dense — one row-major `rows × (cols + 1)`
+//! buffer — which is exactly what makes the generic approach
+//! memory-hungry on placement LPs (Table III); that is intentional, see
+//! the crate docs. A pivot, however, only does the nonzero work: it
+//! eliminates the nonzero entries of the normalised pivot row, in the
+//! rows whose pivot-column entry is nonzero. A skipped update is
+//! `x -= f * 0.0`, which can change at most the sign of a zero, and no
+//! decision here reads that sign (every test is `!= 0.0`, `> TOL`,
+//! `< -TOL` or a ratio comparison), so the pivot sequence and every
+//! nonzero are those of the full dense elimination. The RHS column is
+//! always eliminated in full, so the solution keeps even the dense
+//! elimination's zero signs (`f64::max(-0.0, 0.0)` may return either
+//! zero, so they could otherwise reach `x`).
+//! [`SimplexScratch`] keeps the buffer across solves.
 
 use crate::problem::{Cmp, LinearProgram, LpError, LpSolution};
 
 const TOL: f64 = 1e-9;
 
-struct Tableau {
-    /// `rows × (cols + 1)` matrix, last column is the RHS.
-    a: Vec<Vec<f64>>,
-    /// Reduced-cost row (same width as `a` rows); last entry is the
+/// Reusable simplex working memory: the tableau buffer and the pivot
+/// index lists. Pass the same scratch to [`solve_lp_with`] for a
+/// sequence of LPs to build each tableau in place instead of allocating
+/// (and page-faulting) a fresh one per solve; results do not depend on
+/// what the scratch held before.
+#[derive(Debug, Default)]
+pub struct SimplexScratch {
+    /// Row-major `rows × (cols + 1)` matrix, last column is the RHS.
+    a: Vec<f64>,
+    /// Reduced-cost row (one tableau row wide); last entry is the
     /// negated objective value.
     cost: Vec<f64>,
     /// Basic variable (column index) of each row.
     basis: Vec<usize>,
+    /// Nonzero `(column, value)` entries of the normalised pivot row.
+    pivot_row: Vec<(usize, f64)>,
+    /// Rows other than the pivot row with a nonzero pivot-column entry.
+    col_rows: Vec<usize>,
+}
+
+struct Tableau<'s> {
+    a: &'s mut [f64],
+    cost: &'s mut [f64],
+    basis: &'s mut [usize],
+    pivot_row: &'s mut Vec<(usize, f64)>,
+    col_rows: &'s mut Vec<usize>,
     /// Total number of columns excluding RHS.
     cols: usize,
+    /// Row stride of `a`: `cols + 1`.
+    width: usize,
     /// First artificial column (artificials occupy `art_start..cols`).
     art_start: usize,
     iterations: usize,
 }
 
-impl Tableau {
-    fn rhs(&self, r: usize) -> f64 {
-        self.a[r][self.cols]
+impl Tableau<'_> {
+    fn rows(&self) -> usize {
+        self.basis.len()
     }
 
+    fn at(&self, r: usize, j: usize) -> f64 {
+        self.a[r * self.width + j]
+    }
+
+    fn rhs(&self, r: usize) -> f64 {
+        self.at(r, self.cols)
+    }
+
+    /// Collect into `col_rows` every row except `row` whose entry in
+    /// column `col` is nonzero — the rows a pivot on `(row, col)`
+    /// must eliminate.
+    fn gather_col_rows(&mut self, row: usize, col: usize) {
+        self.col_rows.clear();
+        for r in 0..self.rows() {
+            if r != row && self.at(r, col) != 0.0 {
+                self.col_rows.push(r);
+            }
+        }
+    }
+
+    /// Pivot on `(row, col)`; `col_rows` must hold the rows to
+    /// eliminate (see [`Tableau::gather_col_rows`]).
     fn pivot(&mut self, row: usize, col: usize) {
-        let piv = self.a[row][col];
+        let w = self.width;
+        let prow = &mut self.a[row * w..(row + 1) * w];
+        let piv = prow[col];
         debug_assert!(piv.abs() > TOL, "pivot too small: {piv}");
         let inv = 1.0 / piv;
-        for x in &mut self.a[row] {
+        for x in prow.iter_mut() {
             *x *= inv;
         }
         // Clean the pivot entry exactly.
-        self.a[row][col] = 1.0;
-        for r in 0..self.a.len() {
-            if r != row {
-                let factor = self.a[r][col];
-                if factor != 0.0 {
-                    // Row operation: a[r] -= factor * a[row].
-                    let (head, tail) = if r < row {
-                        let (h, t) = self.a.split_at_mut(row);
-                        (&mut h[r], &t[0])
-                    } else {
-                        let (h, t) = self.a.split_at_mut(r);
-                        (&mut t[0], &h[row])
-                    };
-                    for (x, &p) in head.iter_mut().zip(tail.iter()) {
-                        *x -= factor * p;
-                    }
-                    head[col] = 0.0;
-                }
+        prow[col] = 1.0;
+        // The nonzeros, plus the RHS even when it is zero: eliminating
+        // it in full keeps every basic value — hence `x` — at the dense
+        // elimination's bits, zero signs included.
+        let (body, rhs) = prow.split_at(self.cols);
+        self.pivot_row.clear();
+        self.pivot_row.extend(
+            body.iter()
+                .enumerate()
+                .filter(|&(_, &p)| p != 0.0)
+                .map(|(j, &p)| (j, p)),
+        );
+        self.pivot_row.push((self.cols, rhs[0]));
+        for &r in self.col_rows.iter() {
+            // Row operation: a[r] -= factor * a[row], over the pivot
+            // row's nonzeros only.
+            let dst = &mut self.a[r * w..(r + 1) * w];
+            let factor = dst[col];
+            for &(j, p) in self.pivot_row.iter() {
+                dst[j] -= factor * p;
             }
+            dst[col] = 0.0;
         }
         let factor = self.cost[col];
         if factor != 0.0 {
-            for (x, &p) in self.cost.iter_mut().zip(self.a[row].iter()) {
-                *x -= factor * p;
+            for &(j, p) in self.pivot_row.iter() {
+                self.cost[j] -= factor * p;
             }
             self.cost[col] = 0.0;
         }
@@ -105,9 +164,14 @@ impl Tableau {
                 return Ok(());
             };
             // Leaving row: min ratio, tie-break smallest basic var.
+            // The same scan collects the column's nonzero rows.
+            self.col_rows.clear();
             let mut leave: Option<(usize, f64)> = None;
-            for r in 0..self.a.len() {
-                let coef = self.a[r][col];
+            for r in 0..self.rows() {
+                let coef = self.at(r, col);
+                if coef != 0.0 {
+                    self.col_rows.push(r);
+                }
                 if coef > TOL {
                     let ratio = self.rhs(r) / coef;
                     match leave {
@@ -125,6 +189,7 @@ impl Tableau {
             let Some((row, _)) = leave else {
                 return Err(LpError::Unbounded);
             };
+            self.col_rows.retain(|&r| r != row);
             self.pivot(row, col);
             local_iters += 1;
             if local_iters > max_iters {
@@ -134,8 +199,17 @@ impl Tableau {
     }
 }
 
-/// Solve a minimization LP to optimality with the two-phase simplex.
+/// Solve a minimization LP to optimality with the two-phase simplex,
+/// in a fresh [`SimplexScratch`].
 pub fn solve_lp(lp: &LinearProgram) -> Result<LpSolution, LpError> {
+    solve_lp_with(lp, &mut SimplexScratch::default())
+}
+
+/// As [`solve_lp`], building the tableau in `scratch`'s buffers.
+pub fn solve_lp_with(
+    lp: &LinearProgram,
+    scratch: &mut SimplexScratch,
+) -> Result<LpSolution, LpError> {
     let n = lp.num_vars();
     let rows = lp.all_rows();
     if rows.is_empty() {
@@ -186,40 +260,56 @@ pub fn solve_lp(lp: &LinearProgram) -> Result<LpSolution, LpError> {
     let n_art = plans.iter().filter(|p| p.artificial).count();
     let art_start = n + n_slack;
     let cols = n + n_slack + n_art;
+    let width = cols + 1;
 
-    // Build the tableau.
-    let mut a = vec![vec![0.0; cols + 1]; m];
-    let mut basis = vec![usize::MAX; m];
+    // Build the tableau in the scratch buffers.
+    let SimplexScratch {
+        a,
+        cost,
+        basis,
+        pivot_row,
+        col_rows,
+    } = scratch;
+    a.clear();
+    a.resize(m * width, 0.0);
+    basis.clear();
+    basis.resize(m, usize::MAX);
     let mut next_slack = n;
     let mut next_art = art_start;
     for (r, (row, plan)) in rows.iter().zip(&plans).enumerate() {
+        let ar = &mut a[r * width..(r + 1) * width];
         let sign = if plan.flip { -1.0 } else { 1.0 };
         for &(v, coef) in &row.terms {
-            a[r][v] += sign * coef;
+            ar[v] += sign * coef;
         }
-        a[r][cols] = sign * row.rhs;
+        ar[cols] = sign * row.rhs;
         if let Some(s) = plan.slack {
-            a[r][next_slack] = s as f64;
+            ar[next_slack] = s as f64;
             if s > 0 {
                 basis[r] = next_slack;
             }
             next_slack += 1;
         }
         if plan.artificial {
-            a[r][next_art] = 1.0;
+            ar[next_art] = 1.0;
             basis[r] = next_art;
             next_art += 1;
         }
         debug_assert!(basis[r] != usize::MAX);
-        debug_assert!(a[r][cols] >= 0.0);
+        debug_assert!(ar[cols] >= 0.0);
     }
+    cost.clear();
+    cost.resize(width, 0.0);
 
     let max_iters = 200 * (m + cols) + 20_000;
     let mut t = Tableau {
         a,
-        cost: vec![0.0; cols + 1],
+        cost,
         basis,
+        pivot_row,
+        col_rows,
         cols,
+        width,
         art_start,
         iterations: 0,
     };
@@ -232,7 +322,7 @@ pub fn solve_lp(lp: &LinearProgram) -> Result<LpSolution, LpError> {
         // Zero out reduced costs of basic (artificial) columns.
         for r in 0..m {
             if t.basis[r] >= art_start {
-                let row = t.a[r].clone();
+                let row = &t.a[r * width..(r + 1) * width];
                 for (x, p) in t.cost.iter_mut().zip(row.iter()) {
                     *x -= p;
                 }
@@ -246,7 +336,8 @@ pub fn solve_lp(lp: &LinearProgram) -> Result<LpSolution, LpError> {
         // Drive any remaining basic artificials out of the basis.
         for r in 0..m {
             if t.basis[r] >= art_start {
-                if let Some(col) = (0..art_start).find(|&j| t.a[r][j].abs() > 1e-7) {
+                if let Some(col) = (0..art_start).find(|&j| t.at(r, j).abs() > 1e-7) {
+                    t.gather_col_rows(r, col);
                     t.pivot(r, col);
                 }
                 // Otherwise the row is all-zero over structural and
@@ -260,15 +351,13 @@ pub fn solve_lp(lp: &LinearProgram) -> Result<LpSolution, LpError> {
     }
 
     // ---- Phase 2: minimize the true objective. ----
-    t.cost = vec![0.0; cols + 1];
-    for (j, &c) in lp.objective().iter().enumerate() {
-        t.cost[j] = c;
-    }
+    t.cost.fill(0.0);
+    t.cost[..n].copy_from_slice(lp.objective());
     for r in 0..m {
         let b = t.basis[r];
         let factor = t.cost[b];
         if factor != 0.0 {
-            let row = t.a[r].clone();
+            let row = &t.a[r * width..(r + 1) * width];
             for (x, p) in t.cost.iter_mut().zip(row.iter()) {
                 *x -= factor * p;
             }
